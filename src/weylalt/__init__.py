@@ -1,9 +1,11 @@
 """Exact-arithmetic Weyl alternation sets and Kostant weight multiplicities.
 
-Root systems are realized in an ambient rational space, Weyl groups act by
-orthogonal matrices over Fraction, the Kostant partition function and its
-q-analog are computed by a memoized recursion over positive roots, and
-multiplicities come from the alternating sum over the Weyl alternation set.
+Root systems are realized in an ambient rational space. Weyl group elements
+are lex-least reduced words that act by simple reflections. The Kostant
+partition function and its q-analog are computed by a memoized recursion over
+positive roots, and multiplicities come from the alternating sum over the
+Weyl alternation set, which one integer walk of the weak order finds for
+every type.
 """
 
 from .errors import (CapExceeded, HeightExceeded, NotInRootSpan,

@@ -24,7 +24,8 @@ from .combinatorics import (fibonacci, nonconsecutive_subsets,
 from .errors import CapExceeded, WeylaltError
 from .kostant import (PartitionCache, QPolynomial, partition_q,
                       partition_q_bruteforce)
-from .multiplicity import (alternation_set, predicted_alternation_set_B,
+from .multiplicity import (alternating_sum, alternation_set,
+                           predicted_alternation_set_B,
                            predicted_count_by_length_B, predicted_pq_B,
                            q_multiplicity, q_multiplicity_terms,
                            weight_diagram)
@@ -311,8 +312,8 @@ def cmd_mult(args) -> RunReport:
     lam, mu = _weight_pair(args, rs)
     cap = _resolve_cap(args)
     cache = _load_cache(args.cache_file, rs) if args.cache_file else None
-    total = q_multiplicity(lam, mu, rs, cap, threads=args.threads, cache=cache)
     terms = q_multiplicity_terms(lam, mu, rs, cap, cache=cache)
+    total = alternating_sum(terms)
     if args.cache_file:
         cache.save(args.cache_file)
     records = [
@@ -328,7 +329,6 @@ def cmd_mult(args) -> RunReport:
         "lam": args.lam,
         "mu": args.mu,
         "cap": cap,
-        "threads": args.threads,
         "alternation_size": len(terms),
         "multiplicity": total.evaluate(1),
         "q_multiplicity": total,
@@ -566,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mult.add_argument("rank", type=int)
     p_mult.add_argument("--lam", required=True, help="weight expression")
     p_mult.add_argument("--mu", default="0", help="weight expression (default 0)")
-    p_mult.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the alternating sum")
     p_mult.add_argument("--cache-file", default=None,
                         help="partition table to load if present and save back")
     _add_common(p_mult)

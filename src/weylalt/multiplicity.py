@@ -1,34 +1,38 @@
 """Weyl alternation sets, Kostant multiplicities and their q-analogs.
 
 m(lambda, mu) = sum over sigma in W of (-1)^l(sigma) P(sigma(lambda+rho) - (mu+rho)),
-and the q-analog replaces P by P_q. A term survives iff its argument has
-nonnegative integer coordinates in the simple roots (simple roots are
+and the q-analog replaces P by P_q. A term survives iff its argument xi_sigma
+has nonnegative integer coordinates in the simple roots (simple roots are
 themselves positive roots, so the coordinate test is exact); the set of
 surviving sigma is the Weyl alternation set, and the sums run over it alone.
 
-For types A and B the survivors are found without touching the rest of the
-group: sigma(lambda+rho) ranges over the (signed) permutations of a vector
-with distinct nonzero entries, and the coordinate test is a chain of prefix
-conditions, so a depth-first search over positions with prefix pruning visits
-only a sliver of the group. Other types enumerate W and filter.
+The survivors of every type are found by one depth-first walk of the left
+weak order on integer vectors. A node sigma holds sigma(rho) and
+sigma(lambda+rho) in fundamental-weight coordinates and xi_sigma in
+simple-root coordinates; the step to s_i sigma subtracts
+<sigma(lambda+rho), alpha_i^vee> from coordinate i of xi. The walk steps only
+along left ascents (sigma(rho)_i > 0) and only to children whose least left
+descent is i, so each element is reached once, carrying its lex-least reduced
+word. When lambda+rho is dominant, <sigma(lambda+rho), alpha_i^vee> =
+<lambda+rho, sigma^-1 alpha_i^vee> >= 0 at every left ascent, so every step
+lowers xi and the walk stops at the first negative coordinate: it visits only
+elements with xi >= 0. Regularity of lambda+rho is not needed. When
+lambda+rho is not dominant the same walk runs over all of W without pruning.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
+from typing import Iterable
 
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
-from .errors import CapExceeded, NotInRootSpan
+from .errors import NotInRootSpan
 from .kostant import PartitionCache, QPolynomial, partition_q_alpha
 from .lattice import Vector
 from .rootsystem import RootSystem, is_dominant_integral, to_simple_root_coords
-from .weyl import (DEFAULT_CAP, WeylElement, element_from_matrix,
-                   enumerate_group, group_order)
+from .weyl import DEFAULT_CAP, WeylElement, check_cap
 
 
 @dataclass(frozen=True)
@@ -52,95 +56,50 @@ class WeightDiagramEntry:
     multiplicity: int
 
 
-def _check_cap(rs: RootSystem, cap: int) -> None:
-    order = group_order(rs)
-    if order > cap:
-        raise CapExceeded(f"|W({rs})| = {order} exceeds cap {cap}")
-
-
-def _survivor_terms_fast(lam: Vector, mu: Vector, rs: RootSystem):
-    """DFS over (signed) permutation images for types A and B.
-
-    Returns a list of (element, xi alpha-coordinates) or None when the fast
-    path does not apply (other types, or lambda+rho with repeated or, for B,
-    zero absolute values, where images stop being in bijection with W).
-    """
-    if rs.type_label not in ("A", "B"):
-        return None
-    target = lattice.add(lam, rs.rho)
-    shift = lattice.add(mu, rs.rho)
-    signed = rs.type_label == "B"
-    if signed:
-        magnitudes = [abs(t) for t in target]
-        if 0 in magnitudes or len(set(magnitudes)) != len(magnitudes):
-            return None
-    elif len(set(target)) != len(target):
-        return None
-
-    scale = lcm(*(f.denominator for f in target + shift))
-    t_int = [int(f * scale) for f in target]
-    s_int = [int(f * scale) for f in shift]
-    dim = rs.ambient_dim
-    if not signed and sum(t_int) != sum(s_int):
-        return []  # xi never lands in the root lattice
-
-    survivors = []
-    used = [False] * dim
-    assignment = [0] * dim  # position k holds +-(source index + 1)
-    coords = []
-
-    def rec(k: int, prefix: int) -> None:
-        if k == dim:
-            matrix = [[Fraction(0)] * dim for _ in range(dim)]
-            for pos, signed_source in enumerate(assignment):
-                source = abs(signed_source) - 1
-                matrix[pos][source] = Fraction(1 if signed_source > 0 else -1)
-            element = element_from_matrix(tuple(tuple(row) for row in matrix), rs)
-            survivors.append((element, tuple(coords)))
-            return
-        s_k = s_int[k]
-        track = k < rs.rank  # A_r has one trailing coordinate beyond the rank
-        for j in range(dim):
-            if used[j]:
-                continue
-            for sign in (1, -1) if signed else (1,):
-                p = prefix + sign * t_int[j] - s_k
-                if track and (p < 0 or p % scale):
-                    continue
-                used[j] = True
-                assignment[k] = sign * (j + 1)
-                if track:
-                    coords.append(p // scale)
-                rec(k + 1, p)
-                if track:
-                    coords.pop()
-                used[j] = False
-
-    rec(0, 0)
-    return survivors
-
-
-def _survivor_terms_generic(lam: Vector, mu: Vector, rs: RootSystem, cap: int):
-    target = lattice.add(lam, rs.rho)
-    shift = lattice.add(mu, rs.rho)
-    survivors = []
-    for element in enumerate_group(rs, cap):
-        xi = lattice.sub(element.act(target), shift)
-        try:
-            coords = to_simple_root_coords(xi, rs)
-        except NotInRootSpan:
-            continue
-        if all(c >= 0 and c.denominator == 1 for c in coords):
-            survivors.append((element, tuple(int(c) for c in coords)))
-    return survivors
-
-
 def _survivor_terms(lam: Vector, mu: Vector, rs: RootSystem, cap: int):
-    _check_cap(rs, cap)
-    terms = _survivor_terms_fast(lam, mu, rs)
-    if terms is None:
-        terms = _survivor_terms_generic(lam, mu, rs, cap)
-    return terms
+    """(element, xi simple-root coordinates) for every survivor of (lambda, mu).
+
+    Coordinates are scaled by the common denominator of the input, so the
+    walk runs on integers for eps: weights too. lambda - mu outside the root
+    span leaves no survivors.
+    """
+    check_cap(rs, cap)
+    try:
+        top = to_simple_root_coords(lattice.sub(lam, mu), rs)
+    except NotInRootSpan:
+        return []
+    rank = rs.rank
+    shifted = lattice.add(lam, rs.rho)
+    pairings = tuple(rs.coroot_pairing(shifted, i) for i in range(1, rank + 1))
+    scale = lcm(*(c.denominator for c in top + pairings))
+    # column i of the Cartan matrix: alpha_i in fundamental coordinates
+    columns = tuple(tuple(row[i] for row in rs.cartan_matrix) for i in range(rank))
+    prune = all(c >= 0 for c in pairings)
+    if prune and min(top) < 0:
+        return []  # xi only decreases along the walk
+
+    survivors = []
+    stack = [((), (1,) * rank, tuple(int(c * scale) for c in pairings),
+              tuple(int(c * scale) for c in top))]
+    while stack:
+        word, rho_image, image, xi = stack.pop()
+        if all(c >= 0 and c % scale == 0 for c in xi):
+            survivors.append((WeylElement(word, rs), tuple(c // scale for c in xi)))
+        for i in range(rank):
+            a = rho_image[i]
+            if a < 0:
+                continue  # s_i is a left descent of this node
+            c = image[i]
+            if prune and xi[i] < c:
+                continue
+            column = columns[i]
+            child = tuple(v - a * col for v, col in zip(rho_image, column))
+            if any(child[j] < 0 for j in range(i)):
+                continue  # the child's least left descent is below i
+            stack.append(((i + 1,) + word, child,
+                          tuple(v - c * col for v, col in zip(image, column)),
+                          xi[:i] + (xi[i] - c,) + xi[i + 1:]))
+    return survivors
 
 
 def alternation_set(lam: Vector, mu: Vector, rs: RootSystem,
@@ -150,42 +109,29 @@ def alternation_set(lam: Vector, mu: Vector, rs: RootSystem,
     return AlternationSet(lam, mu, frozenset(element for element, _ in terms))
 
 
-def _sum_terms(terms, cache: PartitionCache | None, rs: RootSystem,
-               threads: int) -> QPolynomial:
-    def contribution(chunk) -> QPolynomial:
-        total = QPolynomial.zero()
-        for element, coords in chunk:
-            value = partition_q_alpha(coords, rs, cache)
-            if element.length % 2:
-                value = -value
-            total = total + value
-        return total
-
-    if threads <= 1 or len(terms) < 2:
-        return contribution(terms)
-    chunks = [terms[i::threads] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(contribution, chunks))
+def alternating_sum(terms: Iterable[tuple[WeylElement, QPolynomial]]) -> QPolynomial:
+    """Sum of (-1)^l(sigma) P_q over (sigma, P_q) pairs."""
     total = QPolynomial.zero()
-    for part in partials:  # fixed reduction order keeps output deterministic
-        total = total + part
+    for element, value in terms:
+        total = total - value if element.length % 2 else total + value
     return total
 
 
 def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
-                   cap: int = DEFAULT_CAP, threads: int = 1,
+                   cap: int = DEFAULT_CAP,
                    cache: PartitionCache | None = None) -> QPolynomial:
     """Alternating sum of P_q over the alternation set; may have negative
     coefficients term by term, returned as computed."""
     terms = _survivor_terms(lam, mu, rs, cap)
-    return _sum_terms(terms, cache, rs, threads)
+    return alternating_sum((element, partition_q_alpha(coords, rs, cache))
+                           for element, coords in terms)
 
 
 def multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
-                 cap: int = DEFAULT_CAP, threads: int = 1,
+                 cap: int = DEFAULT_CAP,
                  cache: PartitionCache | None = None) -> int:
     """Kostant weight multiplicity m(lambda, mu)."""
-    return q_multiplicity(lam, mu, rs, cap, threads, cache).evaluate(1)
+    return q_multiplicity(lam, mu, rs, cap, cache).evaluate(1)
 
 
 def q_multiplicity_terms(lam: Vector, mu: Vector, rs: RootSystem,

@@ -1,16 +1,19 @@
-"""Weyl group elements as exact orthogonal matrices with reduced-word bookkeeping.
+"""Weyl group elements as lex-least reduced words over a root system.
 
-Elements carry their lexicographically least reduced word. Breadth-first
-enumeration (frontier in word order, generators ascending) discovers exactly
-that word for every element, and the greedy smallest-left-descent walk
-reproduces it from a bare matrix, so both construction paths agree.
+An element is its lexicographically least reduced word. It acts on ambient
+vectors by applying the word's simple reflections, and builds its exact
+orthogonal matrix only when asked. Breadth-first enumeration over Fraction
+matrices (frontier in word order, generators ascending) discovers exactly that
+word for every element; it is kept as the independent oracle for the weak-order
+walk that finds alternation sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Iterator
 
 from . import lattice
@@ -23,19 +26,23 @@ DEFAULT_CAP = 2_000_000
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
-    """One group element; equality and hashing go by the matrix alone."""
+    """One group element; equality and hashing go by the word.
 
-    matrix: Matrix
+    The word must be the element's lex-least reduced word, as produced by
+    enumerate_group and the alternation-set walk, so equal elements have
+    equal words.
+    """
+
     word: tuple[int, ...]
-    signed_perm: tuple[int, ...] | None = None
+    rs: RootSystem = field(repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self.word == other.word and self.rs is other.rs
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.word)
 
     @property
     def length(self) -> int:
@@ -45,17 +52,21 @@ class WeylElement:
     def is_identity(self) -> bool:
         return not self.word
 
+    @cached_property
+    def matrix(self) -> Matrix:
+        """Product of the simple reflection matrices along the word."""
+        factors = [_reflection_matrix(self.rs.simple_roots[i - 1]) for i in self.word]
+        if not factors:
+            return lattice.identity_matrix(self.rs.ambient_dim)
+        return reduce(lattice.mat_mul, factors)
+
     def act(self, v: Vector) -> Vector:
-        """Apply the element to an ambient vector."""
-        if self.signed_perm is not None:
-            out = [Fraction(0)] * len(self.signed_perm)
-            for i, image in enumerate(self.signed_perm):
-                if image > 0:
-                    out[image - 1] = v[i]
-                else:
-                    out[-image - 1] = -v[i]
-            return tuple(out)
-        return lattice.mat_vec(self.matrix, v)
+        """Apply the element to an ambient vector, rightmost reflection first."""
+        for i in reversed(self.word):
+            c = self.rs.coroot_pairing(v, i)
+            if c:
+                v = lattice.sub(v, lattice.scale(c, self.rs.simple_roots[i - 1]))
+        return v
 
     def __str__(self) -> str:
         return "e" if not self.word else "*".join(f"s{i}" for i in self.word)
@@ -80,23 +91,11 @@ def group_order(rs: RootSystem) -> int:
     }[rs.type_label]
 
 
-def _signed_perm_of(matrix: Matrix) -> tuple[int, ...] | None:
-    """Signed-permutation encoding (column i maps to +-row), or None."""
-    n = len(matrix)
-    perm = []
-    for col in range(n):
-        hit = 0
-        for row in range(n):
-            entry = matrix[row][col]
-            if entry == 0:
-                continue
-            if entry not in (1, -1) or hit:
-                return None
-            hit = (row + 1) if entry == 1 else -(row + 1)
-        if not hit:
-            return None
-        perm.append(hit)
-    return tuple(perm)
+def check_cap(rs: RootSystem, cap: int) -> None:
+    """Raise CapExceeded when |W| is larger than cap."""
+    order = group_order(rs)
+    if order > cap:
+        raise CapExceeded(f"|W({rs})| = {order} exceeds cap {cap}")
 
 
 def _reflection_matrix(alpha: Vector) -> Matrix:
@@ -112,16 +111,14 @@ def _reflection_matrix(alpha: Vector) -> Matrix:
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
-    m = lattice.identity_matrix(rs.ambient_dim)
-    return WeylElement(m, (), _signed_perm_of(m))
+    return WeylElement((), rs)
 
 
 def simple_reflection(i: int, rs: RootSystem) -> WeylElement:
     """Reflection s_i in the simple root alpha_i, 1-based."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"reflection index {i} out of range for {rs}")
-    m = _reflection_matrix(rs.simple_roots[i - 1])
-    return WeylElement(m, (i,), _signed_perm_of(m))
+    return WeylElement((i,), rs)
 
 
 def coxeter_order(rs: RootSystem, i: int, j: int) -> int:
@@ -163,11 +160,10 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> Iterator[WeylElem
     """Yield every element once, in nondecreasing length, words lex-least.
 
     Raises CapExceeded up front when the group order surpasses cap; the
-    default cap keeps E7/E8 from being enumerated by accident.
+    default cap keeps E7/E8 from being enumerated by accident. Each element
+    carries the matrix the search found for it.
     """
-    order = group_order(rs)
-    if order > cap:
-        raise CapExceeded(f"|W({rs})| = {order} exceeds cap {cap}")
+    check_cap(rs, cap)
     gens = generators(rs)
     ident = identity_element(rs)
     seen = {ident.matrix}
@@ -181,7 +177,8 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> Iterator[WeylElem
                 if m in seen:
                     continue
                 seen.add(m)
-                element = WeylElement(m, w.word + g.word, _signed_perm_of(m))
+                element = WeylElement(w.word + g.word, rs)
+                element.__dict__["matrix"] = m  # fill the cached_property
                 new_frontier.append(element)
                 yield element
         frontier = new_frontier
@@ -191,35 +188,6 @@ def inversion_length(w: WeylElement, rs: RootSystem) -> int:
     """Number of positive roots sent negative; equals len(w.word)."""
     positives = set(rs.positive_roots)
     return sum(1 for alpha in rs.positive_roots if w.act(alpha) not in positives)
-
-
-def reduced_word_from_matrix(matrix: Matrix, rs: RootSystem) -> tuple[int, ...]:
-    """Lex-least reduced word of the element with this matrix.
-
-    Greedy: repeatedly strip the smallest left descent, i.e. the smallest i
-    with u^-1(alpha_i) negative. Weyl matrices are orthogonal, so u^-1 is the
-    transpose.
-    """
-    gens = generators(rs)
-    positives = set(rs.positive_roots)
-    ident = lattice.identity_matrix(rs.ambient_dim)
-    word = []
-    current = matrix
-    while current != ident:
-        inverse = lattice.transpose(current)
-        for i in range(1, rs.rank + 1):
-            if lattice.mat_vec(inverse, rs.simple_roots[i - 1]) not in positives:
-                word.append(i)
-                current = lattice.mat_mul(gens[i - 1].matrix, current)
-                break
-        else:
-            raise RuntimeError(f"{rs}: matrix is not a Weyl group element")
-    return tuple(word)
-
-
-def element_from_matrix(matrix: Matrix, rs: RootSystem) -> WeylElement:
-    return WeylElement(matrix, reduced_word_from_matrix(matrix, rs),
-                       _signed_perm_of(matrix))
 
 
 def orbit(v: Vector, rs: RootSystem) -> frozenset[Vector]:

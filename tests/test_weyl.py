@@ -7,10 +7,11 @@ import pytest
 
 from weylalt import lattice
 from weylalt.errors import CapExceeded
+from weylalt.multiplicity import alternation_set
 from weylalt.rootsystem import build, fundamental_weight, highest_root
-from weylalt.weyl import (WeylElement, element_from_matrix, enumerate_group,
-                          group_order, identity_element, inversion_length,
-                          orbit, reduced_word_from_matrix, simple_reflection)
+from weylalt.weyl import (WeylElement, enumerate_group, group_order,
+                          identity_element, inversion_length, orbit,
+                          simple_reflection)
 
 ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("B", 3): 48,
           ("B", 4): 384, ("C", 3): 48, ("D", 4): 192, ("G2", 2): 12,
@@ -78,14 +79,25 @@ def test_word_length_equals_inversion_count(label, rank):
         assert w.length == inversion_length(w, rs)
 
 
-@pytest.mark.parametrize("label, rank", [("B", 3), ("A", 3), ("G2", 2)])
+def walked_group(rs):
+    """All of W from the alternation-set walk: xi = w(rho) + rho >= 0 for
+    every w, so (0, -2 rho) keeps every element."""
+    zero = lattice.zeros(rs.ambient_dim)
+    return alternation_set(zero, lattice.scale(-2, rs.rho), rs).elements
+
+
+@pytest.mark.parametrize("label, rank", [("B", 3), ("A", 3), ("G2", 2),
+                                         ("C", 3), ("D", 4)])
 def test_word_round_trip_through_matrix(label, rank):
-    # the BFS word and the greedy descent word agree on every element
+    # the walk's words are the BFS words, and the matrix a walked element
+    # builds from its word is the one the BFS found
     rs = build(label, rank)
-    for w in enumerate_group(rs):
-        assert reduced_word_from_matrix(w.matrix, rs) == w.word
-        again = element_from_matrix(w.matrix, rs)
-        assert again == w and again.word == w.word
+    enumerated = {w.word: w.matrix for w in enumerate_group(rs)}
+    walked = walked_group(rs)
+    assert len(walked) == group_order(rs)
+    assert {w.word for w in walked} == set(enumerated)
+    for w in walked:
+        assert w.matrix == enumerated[w.word]
 
 
 def test_element_words_multiply_back():
@@ -106,7 +118,8 @@ def test_signed_permutation_action_agrees_with_matrix():
         w = rng.choice(elements)
         v = lattice.vector([Fraction(rng.randint(-9, 9), rng.choice([1, 2]))
                             for _ in range(4)])
-        assert w.signed_perm is not None
+        for column in zip(*w.matrix):
+            assert sorted(abs(c) for c in column) == [0, 0, 0, 1]
         assert w.act(v) == lattice.mat_vec(w.matrix, v)
 
 
@@ -135,10 +148,16 @@ def test_identity_element():
     assert str(e) == "e"
 
 
+def test_elements_equal_by_word():
+    rs = build("B", 3)
+    for w in enumerate_group(rs):
+        again = WeylElement(w.word, rs)
+        assert again == w and hash(again) == hash(w)
+    assert WeylElement((), rs) != WeylElement((), build("C", 3))
+    assert simple_reflection(1, rs) != simple_reflection(2, rs)
+
+
 def test_str_words():
     rs = build("B", 3)
-    s2 = simple_reflection(2, rs)
-    assert str(s2) == "s2"
-    s23 = element_from_matrix(lattice.mat_mul(s2.matrix,
-                                              simple_reflection(3, rs).matrix), rs)
-    assert str(s23) == "s2*s3"
+    assert str(simple_reflection(2, rs)) == "s2"
+    assert str(WeylElement((2, 3), rs)) == "s2*s3"
