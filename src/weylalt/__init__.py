@@ -2,10 +2,10 @@
 
 Root systems are realized in an ambient rational space. Weyl group elements
 are lex-least reduced words that act by simple reflections. The Kostant
-partition function and its q-analog are computed by a memoized recursion over
-positive roots, and multiplicities come from the alternating sum over the
-Weyl alternation set, which one integer walk of the weak order finds for
-every type.
+partition function and its q-analog come from one packed table per root
+system, filled by a knapsack pass per positive root, and multiplicities come
+from the alternating sum over the Weyl alternation set, which one integer
+walk of the weak order finds for every type.
 """
 
 from .errors import (CapExceeded, HeightExceeded, NotInRootSpan,

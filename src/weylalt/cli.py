@@ -22,8 +22,7 @@ from . import lattice
 from .combinatorics import (fibonacci, nonconsecutive_subsets,
                             verify_alternating_identity)
 from .errors import CapExceeded, WeylaltError
-from .kostant import (PartitionCache, QPolynomial, partition_q,
-                      partition_q_bruteforce)
+from .kostant import QPolynomial, partition_q, partition_q_bruteforce
 from .multiplicity import (alternating_sum, alternation_set,
                            predicted_alternation_set_B,
                            predicted_count_by_length_B, predicted_pq_B,
@@ -246,16 +245,6 @@ def _resolve_cap(args) -> int:
     return cap
 
 
-def _load_cache(path, rs) -> PartitionCache:
-    if os.path.exists(path):
-        cache = PartitionCache.load(path)
-        if not cache.matches(rs):
-            raise ValueError(f"{path} holds a cache for "
-                             f"{cache.type_label}{cache.rank}, not {rs}")
-        return cache
-    return PartitionCache(rs.type_label, rs.rank)
-
-
 def cmd_roots(args) -> RunReport:
     rs = build(args.type, args.rank)
     records = [
@@ -311,11 +300,8 @@ def cmd_mult(args) -> RunReport:
     rs = build(args.type, args.rank)
     lam, mu = _weight_pair(args, rs)
     cap = _resolve_cap(args)
-    cache = _load_cache(args.cache_file, rs) if args.cache_file else None
-    terms = q_multiplicity_terms(lam, mu, rs, cap, cache=cache)
+    terms = q_multiplicity_terms(lam, mu, rs, cap)
     total = alternating_sum(terms)
-    if args.cache_file:
-        cache.save(args.cache_file)
     records = [
         {"word": str(element),
          "length": element.length,
@@ -566,8 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mult.add_argument("rank", type=int)
     p_mult.add_argument("--lam", required=True, help="weight expression")
     p_mult.add_argument("--mu", default="0", help="weight expression (default 0)")
-    p_mult.add_argument("--cache-file", default=None,
-                        help="partition table to load if present and save back")
     _add_common(p_mult)
     p_mult.set_defaults(handler=cmd_mult)
 
@@ -595,7 +579,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (WeylaltError, ValueError, OSError) as exc:
+    except (WeylaltError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)

@@ -1,16 +1,20 @@
 """Kostant partition function and its q-analog, computed exactly.
 
 The q-analog P_q(xi) = sum_j c_j q^j counts the ways to write xi as a sum of
-exactly j positive roots. The main path is a memoized recursion over the
-positive roots in simple-root coordinates; partition_q_bruteforce is an
-independent exhaustive search (different root order, no memo) kept as an
-oracle and never merged with the main path.
+exactly j positive roots. The main path is one dense table per root system
+over a box [0, top] in simple-root coordinates, filled by one
+unbounded-knapsack pass per positive root with each polynomial packed into a
+single int (see BoxTable); a lookup outside the box builds a new table.
+Two independent routes are kept as oracles and never merged with it: the
+recursion over a permuted root list (partition_q with root_order) and
+partition_q_bruteforce, an exhaustive search with no memo.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import prod
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from .errors import HeightExceeded, NotInRootSpan
@@ -18,9 +22,6 @@ from .lattice import Vector
 from .rootsystem import RootSystem, to_simple_root_coords
 
 BRUTE_FORCE_MAX_HEIGHT = 30
-
-CACHE_FORMAT = "weylalt-partition-cache"
-CACHE_VERSION = 1
 
 
 class QPolynomial:
@@ -158,54 +159,128 @@ class QPolynomial:
         return f"QPolynomial({self.coeffs!r})"
 
 
+def coefficient_bound(top: Sequence[int], roots: Sequence[Sequence[int]]) -> int:
+    """Bound on P(x) = P_q(x) at q = 1 for every x in the box [0, top].
+
+    A decomposition of x uses beta at most ht(x) // ht(beta) <= ht(top) //
+    ht(beta) times, so P(x) <= prod over beta > 0 of (ht(top) // ht(beta) + 1).
+    Every coefficient of P_q(x) is at most P(x).
+    """
+    height = sum(top)
+    bound = 1
+    for beta in roots:
+        bound *= height // sum(beta) + 1
+    return bound
+
+
+class BoxTable:
+    """P_q for every x in the box [0, top] of simple-root coordinates.
+
+    Cell x sits at flat index sum(x_i * strides_i) (row-major) and holds
+    P_q(x) packed as one int, coefficient j in bits [j*bits, (j+1)*bits)
+    (Kronecker substitution). bits comes from coefficient_bound, so no packed
+    digit ever carries into the next. Cells are decoded to QPolynomial on
+    their first lookup. Only that decoded list changes after construction,
+    and each write stores a value equal to any other write to the same cell.
+    """
+
+    __slots__ = ("top", "strides", "bits", "packed", "decoded")
+
+    def __init__(self, top: tuple[int, ...], roots: Sequence[tuple[int, ...]]):
+        self.top = top
+        strides = [1] * len(top)
+        for i in range(len(top) - 2, -1, -1):
+            strides[i] = strides[i + 1] * (top[i + 1] + 1)
+        self.strides = tuple(strides)
+        self.bits = coefficient_bound(top, roots).bit_length()
+        self.packed = self._fill(roots)
+        self.decoded: list[QPolynomial | None] = [None] * len(self.packed)
+
+    def _fill(self, roots) -> list[int]:
+        """One unbounded-knapsack pass per positive root beta:
+        t[x] += t[x - beta] * q, in increasing flat index over [beta, top]."""
+        top, strides, bits = self.top, self.strides, self.bits
+        table = [0] * (strides[0] * (top[0] + 1))
+        table[0] = 1
+        for beta in roots:
+            if any(b > t for b, t in zip(beta, top)):
+                continue
+            offset = sum(b * s for b, s in zip(beta, strides))
+            # Coordinates after the last nonzero one, k, are free, so for each
+            # prefix x_0..x_(k-1) the cells with x_k in [beta_k, top_k] form one
+            # contiguous run; its sources lie offset cells back, so a chunk of
+            # at most offset cells reads only cells already final in this pass.
+            k = max(i for i, b in enumerate(beta) if b)
+            starts = [beta[k] * strides[k]]
+            for i in range(k):
+                starts = [s + x * strides[i]
+                          for s in starts for x in range(beta[i], top[i] + 1)]
+            run = (top[k] - beta[k] + 1) * strides[k]
+            for start in starts:
+                end = start + run
+                for lo in range(start, end, offset):
+                    hi = min(lo + offset, end)
+                    table[lo:hi] = [x + (y << bits) for x, y in
+                                    zip(table[lo:hi], table[lo - offset:hi - offset])]
+        return table
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def covers(self, coords: tuple[int, ...]) -> bool:
+        return all(map(le, coords, self.top))
+
+    def lookup(self, coords: tuple[int, ...]) -> QPolynomial:
+        """P_q(coords) for coords inside the box."""
+        index = sum(map(mul, coords, self.strides))
+        value = self.decoded[index]
+        if value is None:
+            packed, bits = self.packed[index], self.bits
+            mask = (1 << bits) - 1
+            coeffs = []
+            while packed:
+                coeffs.append(packed & mask)
+                packed >>= bits
+            value = self.decoded[index] = QPolynomial(coeffs)
+        return value
+
+
 @dataclass
 class PartitionCache:
-    """Memo table for one root system's partition recursion.
+    """One root system's P_q box table, grown on demand.
 
-    Keys are (remaining simple-root coordinates, next root index); values are
-    coefficient tuples. Entries are immutable once written and the recursion
-    is deterministic, so concurrent readers and writers at worst repeat work.
-    max_entries caps the table; past it, values are computed but not stored.
+    A lookup outside the box builds a new table: over the coordinatewise
+    union of the old box and the request when that has no more cells than
+    the two together, else over the request alone, so memory stays bounded
+    and skewed lookups do not inflate the box. The table is replaced as one
+    attribute and never changed in place apart from its idempotent decoded
+    cells, so concurrent callers at worst build or decode the same thing
+    twice.
     """
 
     type_label: str
     rank: int
-    max_entries: int | None = None
-    table: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = field(default_factory=dict)
+    table: BoxTable | None = None
 
     def __len__(self) -> int:
-        return len(self.table)
+        """Cells in the current table."""
+        return 0 if self.table is None else len(self.table)
 
     def matches(self, rs: RootSystem) -> bool:
         return self.type_label == rs.type_label and self.rank == rs.rank
 
-    def save(self, path) -> None:
-        entries = sorted(
-            [list(coords), index, list(coeffs)]
-            for (coords, index), coeffs in self.table.items()
-        )
-        payload = {
-            "format": CACHE_FORMAT,
-            "version": CACHE_VERSION,
-            "type": self.type_label,
-            "rank": self.rank,
-            "entries": entries,
-        }
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "PartitionCache":
-        with open(path, encoding="ascii") as handle:
-            payload = json.load(handle)
-        if payload.get("format") != CACHE_FORMAT or payload.get("version") != CACHE_VERSION:
-            raise ValueError(f"{path}: not a version-{CACHE_VERSION} partition cache")
-        cache = cls(type_label=payload["type"], rank=int(payload["rank"]))
-        for coords, index, coeffs in payload["entries"]:
-            cache.table[(tuple(int(c) for c in coords), int(index))] = tuple(
-                int(c) for c in coeffs)
-        return cache
+    def lookup(self, coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
+        """P_q of nonnegative simple-root coordinates, building as needed."""
+        table = self.table
+        if table is None or not table.covers(coords):
+            top = coords
+            if table is not None:
+                union = tuple(map(max, table.top, coords))
+                cells = prod(t + 1 for t in union)
+                if cells <= len(table) + prod(c + 1 for c in coords):
+                    top = union
+            table = self.table = BoxTable(top, rs.positive_root_alpha_coords)
+        return table.lookup(coords)
 
 
 _DEFAULT_CACHES: dict[tuple[str, int], PartitionCache] = {}
@@ -238,17 +313,18 @@ def _validated_alpha_coords(xi: Vector, rs: RootSystem) -> tuple[int, ...] | Non
 
 def _recurse(target: tuple[int, ...], index: int,
              roots: Sequence[tuple[int, ...]],
-             cache: PartitionCache | None) -> tuple[int, ...]:
+             memo: dict[tuple[tuple[int, ...], int], tuple[int, ...]]
+             ) -> tuple[int, ...]:
+    """Coefficients of P_q(target) using roots[index:] only; memo is per call."""
     if not any(target):
         return (1,)
     if index == len(roots):
         return ()
     key = (target, index)
-    if cache is not None:
-        hit = cache.table.get(key)
-        if hit is not None:
-            return hit
-    acc = list(_recurse(target, index + 1, roots, cache))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    acc = list(_recurse(target, index + 1, roots, memo))
     root = roots[index]
     current = target
     multiplicity = 0
@@ -257,7 +333,7 @@ def _recurse(target: tuple[int, ...], index: int,
         if any(c < 0 for c in reduced):
             break
         multiplicity += 1
-        sub = _recurse(reduced, index + 1, roots, cache)
+        sub = _recurse(reduced, index + 1, roots, memo)
         need = multiplicity + len(sub)
         if len(acc) < need:
             acc.extend([0] * (need - len(acc)))
@@ -267,8 +343,7 @@ def _recurse(target: tuple[int, ...], index: int,
     while acc and acc[-1] == 0:
         acc.pop()
     result = tuple(acc)
-    if cache is not None and (cache.max_entries is None or len(cache.table) < cache.max_entries):
-        cache.table[key] = result
+    memo[key] = result
     return result
 
 
@@ -284,7 +359,7 @@ def partition_q_alpha(coords: Sequence[int], rs: RootSystem,
         return QPolynomial.zero()
     if cache is None:
         cache = default_cache(rs)
-    return QPolynomial(_recurse(coords, 0, rs.positive_root_alpha_coords, cache))
+    return cache.lookup(coords, rs)
 
 
 def partition_q(xi: Vector, rs: RootSystem,
@@ -293,8 +368,9 @@ def partition_q(xi: Vector, rs: RootSystem,
     """q-analog of the Kostant partition function of an ambient vector.
 
     Vectors outside the nonnegative integer span come back as the zero
-    polynomial. root_order permutes the recursion's root list (the result
-    must not depend on it); a permuted order bypasses the shared cache.
+    polynomial. root_order permutes the root list of the recursion oracle
+    (the result must not depend on it); with it, the value comes from that
+    recursion instead of the box table.
     """
     coords = _validated_alpha_coords(xi, rs)
     if coords is None:
@@ -303,7 +379,7 @@ def partition_q(xi: Vector, rs: RootSystem,
         roots = tuple(rs.positive_root_alpha_coords[i] for i in root_order)
         if sorted(roots) != sorted(rs.positive_root_alpha_coords):
             raise ValueError("root_order must be a permutation of the positive roots")
-        return QPolynomial(_recurse(coords, 0, roots, None))
+        return QPolynomial(_recurse(coords, 0, roots, {}))
     return partition_q_alpha(coords, rs, cache)
 
 

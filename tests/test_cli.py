@@ -1,4 +1,4 @@
-"""Command line behavior: parsing, formats, exit codes, caches."""
+"""Command line behavior: parsing, formats, exit codes."""
 
 import json
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 from weylalt import cli, lattice
 from weylalt.cli import (EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                          Check, RunReport, main, parse_weight)
-from weylalt.kostant import PartitionCache
 from weylalt.rootsystem import build
 
 
@@ -155,38 +154,13 @@ def test_cap_must_be_positive(capsys):
     capsys.readouterr()
 
 
-# === cache files ===
+# === removed flags ===
 
-def test_cache_file_created_and_reused(tmp_path, capsys):
-    path = tmp_path / "b3.json"
-    args = ["mult", "B", "3", "--lam", "w2", "--cache-file", str(path),
-            "--format", "json"]
-    assert main(args) == EXIT_OK
-    first = json.loads(capsys.readouterr().out)
-    assert path.exists()
-    cache = PartitionCache.load(path)
-    assert cache.matches(build("B", 3)) and len(cache) > 0
-    assert main(args) == EXIT_OK
-    second = json.loads(capsys.readouterr().out)
-    assert first["parameters"]["q_multiplicity"] == second["parameters"]["q_multiplicity"]
-
-
-def test_cache_file_system_mismatch(tmp_path, capsys):
-    path = tmp_path / "b3.json"
+def test_cache_file_flag_is_gone(tmp_path, capsys):
     assert main(["mult", "B", "3", "--lam", "w1",
-                 "--cache-file", str(path)]) == EXIT_OK
+                 "--cache-file", str(tmp_path / "b3.json")]) == EXIT_USAGE
     capsys.readouterr()
-    assert main(["mult", "C", "3", "--lam", "w1",
-                 "--cache-file", str(path)]) == EXIT_USAGE
-    assert "C3" in capsys.readouterr().err
-
-
-def test_cache_file_rejects_junk(tmp_path, capsys):
-    path = tmp_path / "junk.json"
-    path.write_text("{}")
-    assert main(["mult", "B", "3", "--lam", "w1",
-                 "--cache-file", str(path)]) == EXIT_USAGE
-    capsys.readouterr()
+    assert not (tmp_path / "b3.json").exists()
 
 
 # === determinism ===

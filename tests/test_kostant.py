@@ -1,17 +1,20 @@
-"""Partition function q-analog: polynomial type, recursion, brute force, cache."""
+"""Partition function q-analog: polynomial type, box table, recursion, brute force."""
 
-import json
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from weylalt import lattice
+from weylalt import kostant, lattice
 from weylalt.errors import HeightExceeded
 from weylalt.kostant import (PartitionCache, QPolynomial, partition,
                              partition_q, partition_q_alpha,
                              partition_q_bruteforce)
+from weylalt.multiplicity import _survivor_terms
 from weylalt.rootsystem import build, fundamental_weight
+from weylalt.weyl import group_order
 
 
 def combo(rs, coords):
@@ -181,41 +184,95 @@ def test_partition_q_rejects_bad_root_order():
 
 # === cache behavior ===
 
-def test_cache_round_trip(tmp_path):
-    rs = build("B", 3)
-    cache = PartitionCache(rs.type_label, rs.rank)
-    xi = combo(rs, (2, 3, 2))
-    reference = partition_q(xi, rs, cache=cache)
-    assert len(cache) > 0
-    path = tmp_path / "b3.json"
-    cache.save(path)
-    loaded = PartitionCache.load(path)
-    assert loaded.matches(rs)
-    assert loaded.table == cache.table
-    assert partition_q(xi, rs, cache=loaded) == reference
-
-
 def test_cache_matches_other_system():
     cache = PartitionCache("B", 3)
     assert not cache.matches(build("B", 2))
     assert not cache.matches(build("C", 3))
 
 
-def test_cache_load_rejects_other_format(tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text(json.dumps({"format": "something-else", "version": 1,
-                                "type": "B", "rank": 2, "entries": []}))
-    with pytest.raises(ValueError):
-        PartitionCache.load(path)
+NINE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
+              ("E6", 6), ("E7", 7), ("E8", 8)]
 
 
-def test_cache_max_entries_only_limits_storage():
-    rs = build("B", 3)
-    unlimited = PartitionCache(rs.type_label, rs.rank)
-    capped = PartitionCache(rs.type_label, rs.rank, max_entries=2)
-    xi = combo(rs, (2, 2, 2))
-    assert partition_q(xi, rs, cache=unlimited) == partition_q(xi, rs, cache=capped)
-    assert len(capped) <= 2
+def recursion_oracle(rs, coords):
+    """P_q by the recursion over the reversed root list."""
+    order = list(reversed(range(len(rs.positive_roots))))
+    return partition_q(combo(rs, coords), rs, root_order=order)
+
+
+def assert_matches_oracles(rs, coords, value):
+    assert value == recursion_oracle(rs, coords), coords
+    if sum(coords) <= 8:
+        assert value == partition_q_bruteforce(combo(rs, coords), rs), coords
+
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
+def test_box_table_matches_oracles(label, rank, monkeypatch):
+    rs = build(label, rank)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, (label, rank), raising=False)
+    rng = random.Random(23)
+    high = 3 if rank <= 4 else 2
+    top = tuple(rng.randint(1, high) for _ in range(rank))
+    assert_matches_oracles(rs, top, partition_q_alpha(top, rs))
+    cache = kostant.default_cache(rs)
+    assert cache.table.top == top and len(cache) == prod(t + 1 for t in top)
+    # hits inside the built box leave it as it is
+    for _ in range(12):
+        x = tuple(rng.randint(0, t) for t in top)
+        assert_matches_oracles(rs, x, partition_q_alpha(x, rs))
+    assert cache.table.top == top
+    # a slightly larger request grows the box to the union
+    grown = top[:-1] + (top[-1] + 1,)
+    assert_matches_oracles(rs, grown, partition_q_alpha(grown, rs))
+    assert cache.table.top == grown
+    # a skewed pair: the second request replaces the box, since the union
+    # would hold more cells than the old box and the request together
+    k = max(grown) + 2
+    first = (k,) + (0,) * (rank - 1)
+    second = (0, k) + (0,) * (rank - 2)
+    assert_matches_oracles(rs, first, partition_q_alpha(first, rs))
+    before = cache.table.top
+    assert_matches_oracles(rs, second, partition_q_alpha(second, rs))
+    assert cache.table.top == second
+    assert len(cache) < prod(max(a, b) + 1 for a, b in zip(before, second))
+    # an explicit fresh cache gives the same values and leaves the default alone
+    fresh = PartitionCache(rs.type_label, rs.rank)
+    for _ in range(4):
+        x = tuple(rng.randint(0, t) for t in top)
+        assert_matches_oracles(rs, x, partition_q_alpha(x, rs, fresh))
+    assert fresh.table is not cache.table and cache.table.top == second
+
+
+def test_box_table_on_unpruned_b2_terms(monkeypatch):
+    # lambda + rho is not dominant, so the walk is unpruned and the
+    # survivors' xi need not lie in the box [0, lambda - mu]
+    rs = build("B", 2)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, ("B", 2), raising=False)
+    w1, w2 = fundamental_weight(rs, 1), fundamental_weight(rs, 2)
+    checked = 0
+    for lam in (lattice.sub(w2, w1), lattice.sub(w2, lattice.scale(3, w1))):
+        for c in [(0, 0), (1, 2), (2, 2), (3, 3), (4, 1)]:
+            mu = lattice.sub(lam, combo(rs, c))
+            for _, coords in _survivor_terms(lam, mu, rs, group_order(rs)):
+                assert_matches_oracles(rs, coords, partition_q_alpha(coords, rs))
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3),
+                                         ("D", 4), ("G2", 2), ("F4", 4)])
+def test_packing_bound_covers_every_cell(label, rank):
+    rs = build(label, rank)
+    roots = rs.positive_root_alpha_coords
+    rng = random.Random(31)
+    for _ in range(3):
+        top = tuple(rng.randint(0, 3) for _ in range(rank))
+        table = kostant.BoxTable(top, roots)
+        largest = max(table.lookup(x).evaluate(1)
+                      for x in itertools.product(*(range(t + 1) for t in top)))
+        bound = kostant.coefficient_bound(top, roots)
+        assert bound >= largest
+        assert table.bits == bound.bit_length()
 
 
 def test_partition_coefficients_are_nonnegative():

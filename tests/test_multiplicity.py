@@ -93,6 +93,7 @@ ADJOINT_EXPONENTS = {
     ("F4", 4): (1, 5, 7, 11),
     ("E6", 6): (1, 4, 5, 7, 8, 11),
     ("E7", 7): (1, 5, 7, 9, 11, 13, 17),
+    ("E8", 8): (1, 7, 11, 13, 17, 19, 23, 29),
 }
 
 
