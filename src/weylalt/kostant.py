@@ -162,14 +162,16 @@ class QPolynomial:
 def coefficient_bound(top: Sequence[int], roots: Sequence[Sequence[int]]) -> int:
     """Bound on P(x) = P_q(x) at q = 1 for every x in the box [0, top].
 
-    A decomposition of x uses beta at most ht(x) // ht(beta) <= ht(top) //
-    ht(beta) times, so P(x) <= prod over beta > 0 of (ht(top) // ht(beta) + 1).
-    Every coefficient of P_q(x) is at most P(x).
+    A decomposition of x <= top that uses beta k times has k * beta <= top
+    coordinatewise, so k <= top_i // beta_i wherever beta_i > 0, and P(x) <=
+    prod over beta > 0 of (min over those i of top_i // beta_i + 1). Every
+    coefficient of P_q(x) is at most P(x). By the mediant inequality the
+    minimum is at most ht(top) / ht(beta), so this never exceeds the height
+    bound prod over beta > 0 of (ht(top) // ht(beta) + 1).
     """
-    height = sum(top)
     bound = 1
     for beta in roots:
-        bound *= height // sum(beta) + 1
+        bound *= min(t // b for t, b in zip(top, beta) if b) + 1
     return bound
 
 
@@ -270,7 +272,12 @@ class PartitionCache:
         return self.type_label == rs.type_label and self.rank == rs.rank
 
     def lookup(self, coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
-        """P_q of nonnegative simple-root coordinates, building as needed."""
+        """P_q of nonnegative simple-root coordinates, building as needed.
+
+        Raises ValueError when rs is not the cache's root system.
+        """
+        if not self.matches(rs):
+            raise ValueError(f"cache is for {self.type_label}{self.rank}, not {rs}")
         table = self.table
         if table is None or not table.covers(coords):
             top = coords
@@ -292,12 +299,6 @@ def default_cache(rs: RootSystem) -> PartitionCache:
     if cache is None:
         cache = _DEFAULT_CACHES.setdefault(key, PartitionCache(rs.type_label, rs.rank))
     return cache
-
-
-def set_default_cache(rs: RootSystem, cache: PartitionCache) -> None:
-    if not cache.matches(rs):
-        raise ValueError(f"cache is for {cache.type_label}{cache.rank}, not {rs}")
-    _DEFAULT_CACHES[(rs.type_label, rs.rank)] = cache
 
 
 def _validated_alpha_coords(xi: Vector, rs: RootSystem) -> tuple[int, ...] | None:

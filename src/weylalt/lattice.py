@@ -53,19 +53,8 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
     return tuple(vector(row) for row in rows)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def transpose(m: Matrix) -> Matrix:

@@ -1,24 +1,21 @@
 """Weyl group elements as lex-least reduced words over a root system.
 
-An element is its lexicographically least reduced word. It acts on ambient
-vectors by applying the word's simple reflections, and builds its exact
-orthogonal matrix only when asked. Breadth-first enumeration over Fraction
-matrices (frontier in word order, generators ascending) discovers exactly that
-word for every element; it is kept as the independent oracle for the weak-order
-walk that finds alternation sets.
+An element is its lexicographically least reduced word, and it acts on
+ambient vectors only by applying the word's simple reflections. Breadth-first
+enumeration keyed on w^-1(rho) (frontier in word order, generators ascending)
+discovers exactly that word for every element; it is kept as the independent
+oracle for the weak-order walk that finds alternation sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property, reduce
 from typing import Iterator
 
 from . import lattice
 from .errors import CapExceeded
-from .lattice import Matrix, Vector
+from .lattice import Vector
 from .rootsystem import RootSystem
 
 DEFAULT_CAP = 2_000_000
@@ -52,14 +49,6 @@ class WeylElement:
     def is_identity(self) -> bool:
         return not self.word
 
-    @cached_property
-    def matrix(self) -> Matrix:
-        """Product of the simple reflection matrices along the word."""
-        factors = [_reflection_matrix(self.rs.simple_roots[i - 1]) for i in self.word]
-        if not factors:
-            return lattice.identity_matrix(self.rs.ambient_dim)
-        return reduce(lattice.mat_mul, factors)
-
     def act(self, v: Vector) -> Vector:
         """Apply the element to an ambient vector, rightmost reflection first."""
         for i in reversed(self.word):
@@ -70,10 +59,6 @@ class WeylElement:
 
     def __str__(self) -> str:
         return "e" if not self.word else "*".join(f"s{i}" for i in self.word)
-
-
-def act(w: WeylElement, v: Vector) -> Vector:
-    return w.act(v)
 
 
 def group_order(rs: RootSystem) -> int:
@@ -96,18 +81,6 @@ def check_cap(rs: RootSystem, cap: int) -> None:
     order = group_order(rs)
     if order > cap:
         raise CapExceeded(f"|W({rs})| = {order} exceeds cap {cap}")
-
-
-def _reflection_matrix(alpha: Vector) -> Matrix:
-    norm = lattice.dot(alpha, alpha)
-    n = len(alpha)
-    return tuple(
-        tuple(
-            (Fraction(1) if a == b else Fraction(0)) - 2 * alpha[a] * alpha[b] / norm
-            for b in range(n)
-        )
-        for a in range(n)
-    )
 
 
 def identity_element(rs: RootSystem) -> WeylElement:
@@ -133,25 +106,29 @@ _GENERATOR_CACHE: dict[tuple[str, int], tuple[WeylElement, ...]] = {}
 
 
 def generators(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """Simple reflections s_1..s_r, Coxeter relations verified on first build."""
+    """Simple reflections s_1..s_r, Coxeter relations verified on first build.
+
+    s_i^2 = 1 and (s_i s_j)^m_ij = 1 are checked on every simple root. Each
+    reflection fixes the orthogonal complement of the root span, so a word
+    that fixes every simple root is the identity.
+    """
     key = (rs.type_label, rs.rank)
     cached = _GENERATOR_CACHE.get(key)
     if cached is not None:
         return cached
     gens = tuple(simple_reflection(i, rs) for i in range(1, rs.rank + 1))
-    ident = lattice.identity_matrix(rs.ambient_dim)
-    for i, g in enumerate(gens, start=1):
-        if lattice.mat_mul(g.matrix, g.matrix) != ident:
-            raise RuntimeError(f"{rs}: s_{i} is not an involution")
     for i in range(1, rs.rank + 1):
-        for j in range(i + 1, rs.rank + 1):
+        for j in range(i, rs.rank + 1):
+            s_i, s_j = gens[i - 1], gens[j - 1]
             m = coxeter_order(rs, i, j)
-            prod = lattice.mat_mul(gens[i - 1].matrix, gens[j - 1].matrix)
-            power = prod
-            for _ in range(m - 1):
-                power = lattice.mat_mul(power, prod)
-            if power != ident:
-                raise RuntimeError(f"{rs}: braid relation for (s_{i}, s_{j}) failed")
+            for alpha in rs.simple_roots:
+                v = alpha
+                for _ in range(m):
+                    v = s_i.act(s_j.act(v))
+                if v != alpha:
+                    if i == j:
+                        raise RuntimeError(f"{rs}: s_{i} is not an involution")
+                    raise RuntimeError(f"{rs}: braid relation for (s_{i}, s_{j}) failed")
     _GENERATOR_CACHE[key] = gens
     return gens
 
@@ -160,26 +137,26 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> Iterator[WeylElem
     """Yield every element once, in nondecreasing length, words lex-least.
 
     Raises CapExceeded up front when the group order surpasses cap; the
-    default cap keeps E7/E8 from being enumerated by accident. Each element
-    carries the matrix the search found for it.
+    default cap keeps E7/E8 from being enumerated by accident. The search is
+    keyed on w^-1(rho): rho is regular, so the keys are in bijection with W,
+    and the child w*s_g has key s_g(w^-1(rho)), one reflection away.
     """
     check_cap(rs, cap)
     gens = generators(rs)
     ident = identity_element(rs)
-    seen = {ident.matrix}
-    frontier = [ident]
+    seen = {rs.rho}
+    frontier = [(ident, rs.rho)]
     yield ident
     while frontier:
         new_frontier = []
-        for w in frontier:
+        for w, key in frontier:
             for g in gens:
-                m = lattice.mat_mul(w.matrix, g.matrix)
-                if m in seen:
+                child_key = g.act(key)
+                if child_key in seen:
                     continue
-                seen.add(m)
+                seen.add(child_key)
                 element = WeylElement(w.word + g.word, rs)
-                element.__dict__["matrix"] = m  # fill the cached_property
-                new_frontier.append(element)
+                new_frontier.append((element, child_key))
                 yield element
         frontier = new_frontier
 

@@ -1,7 +1,9 @@
 """Command line behavior: parsing, formats, exit codes."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +187,25 @@ def test_oracle_suite_other_seed(capsys):
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "definitely-not-a-suite"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+# === golden outputs ===
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("weyl-alt_B_3_w1", ["weyl-alt", "B", "3", "--lam", "w1"]),
+    ("mult_C_3_highest-root", ["mult", "C", "3", "--lam", "highest-root"]),
+    ("mult_G2_2_w1+w1", ["mult", "G2", "2", "--lam", "w1+w1"]),
+    ("mult_A_3_eps", ["mult", "A", "3", "--lam", "eps:1/2,0,0,-1/2"]),
+    ("mult_B_2_w2-w1", ["mult", "B", "2", "--lam", "w2-w1",
+                        "--mu", "w2-w1-highest-root"]),
+    ("roots_G2_2", ["roots", "G2", "2"]),
+])
+def test_json_output_matches_golden(name, argv, monkeypatch, capsys):
+    # byte for byte, apart from the elapsed_ms field
+    monkeypatch.delenv("WEYLALT_CAP", raising=False)
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    out = re.sub(r'"elapsed_ms":\d+,', "", capsys.readouterr().out)
+    assert out == (GOLDEN / f"{name}.json").read_text()

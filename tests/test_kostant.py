@@ -190,6 +190,18 @@ def test_cache_matches_other_system():
     assert not cache.matches(build("C", 3))
 
 
+def test_cache_refuses_other_system():
+    # B3 and C3 share the shape of their simple-root coordinates but not
+    # their positive roots, so a B3 table must not answer a C3 lookup
+    b3, c3 = build("B", 3), build("C", 3)
+    cache = PartitionCache("B", 3)
+    assert partition_q_alpha((1, 2, 2), b3, cache) == QPolynomial((0, 1, 3, 4, 2, 1))
+    with pytest.raises(ValueError):
+        partition_q_alpha((1, 2, 2), c3, cache)
+    fresh = PartitionCache("C", 3)
+    assert partition_q_alpha((1, 2, 2), c3, fresh) == QPolynomial((0, 0, 2, 4, 2, 1))
+
+
 NINE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
               ("E6", 6), ("E7", 7), ("E8", 8)]
 
@@ -273,6 +285,8 @@ def test_packing_bound_covers_every_cell(label, rank):
         bound = kostant.coefficient_bound(top, roots)
         assert bound >= largest
         assert table.bits == bound.bit_length()
+        height_bound = prod(sum(top) // sum(beta) + 1 for beta in roots)
+        assert bound <= height_bound
 
 
 def test_partition_coefficients_are_nonnegative():

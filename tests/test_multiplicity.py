@@ -16,7 +16,7 @@ from weylalt.multiplicity import (_survivor_terms, alternation_set,
 from weylalt.rootsystem import (build, dominant_integral_weights_in_box,
                                 fundamental_weight, highest_root,
                                 to_simple_root_coords)
-from weylalt.weyl import enumerate_group, group_order
+from weylalt.weyl import enumerate_group, generators, group_order
 
 
 def zero_of(rs):
@@ -148,11 +148,16 @@ def survivor_cases(rs, rng, count):
 
 
 def enumerated_survivors(elements, lam, mu, rs):
-    target = lattice.add(lam, rs.rho)
+    # w(lam + rho) is s_i applied to the image of the suffix word[1:], which
+    # is lex-least and shorter, so its image is already in the table
+    gens = generators(rs)
+    image = {(): lattice.add(lam, rs.rho)}
     shift = lattice.add(mu, rs.rho)
     out = set()
     for w in elements:
-        xi = lattice.sub(lattice.mat_vec(w.matrix, target), shift)
+        if w.word:
+            image[w.word] = gens[w.word[0] - 1].act(image[w.word[1:]])
+        xi = lattice.sub(image[w.word], shift)
         try:
             coords = to_simple_root_coords(xi, rs)
         except NotInRootSpan:

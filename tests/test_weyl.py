@@ -1,17 +1,18 @@
-"""Weyl groups as matrix groups: enumeration, words, lengths, orbits."""
+"""Weyl groups as reduced words acting by simple reflections: enumeration,
+the Coxeter relation check, words, lengths, orbits."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from weylalt import lattice
+from weylalt import lattice, weyl
 from weylalt.errors import CapExceeded
 from weylalt.multiplicity import alternation_set
 from weylalt.rootsystem import build, fundamental_weight, highest_root
-from weylalt.weyl import (WeylElement, enumerate_group, group_order,
-                          identity_element, inversion_length, orbit,
-                          simple_reflection)
+from weylalt.weyl import (WeylElement, enumerate_group, generators,
+                          group_order, identity_element, inversion_length,
+                          orbit, simple_reflection)
 
 ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("B", 3): 48,
           ("B", 4): 384, ("C", 3): 48, ("D", 4): 192, ("G2", 2): 12,
@@ -60,8 +61,8 @@ def test_simple_reflection_involution_and_action():
     v = lattice.vector([3, Fraction(1, 2)])
     assert s1.act(v) == (Fraction(1, 2), 3)  # swap
     assert s2.act(v) == (3, Fraction(-1, 2))  # flip last sign
-    assert lattice.mat_mul(s1.matrix, s1.matrix) == lattice.identity_matrix(2)
-    assert lattice.mat_mul(s2.matrix, s2.matrix) == lattice.identity_matrix(2)
+    assert s1.act(s1.act(v)) == v
+    assert s2.act(s2.act(v)) == v
 
 
 def test_simple_reflection_index_range():
@@ -89,38 +90,34 @@ def walked_group(rs):
 @pytest.mark.parametrize("label, rank", [("B", 3), ("A", 3), ("G2", 2),
                                          ("C", 3), ("D", 4)])
 def test_word_round_trip_through_matrix(label, rank):
-    # the walk's words are the BFS words, and the matrix a walked element
-    # builds from its word is the one the BFS found
+    # the walk's words are the BFS words
     rs = build(label, rank)
-    enumerated = {w.word: w.matrix for w in enumerate_group(rs)}
     walked = walked_group(rs)
     assert len(walked) == group_order(rs)
-    assert {w.word for w in walked} == set(enumerated)
-    for w in walked:
-        assert w.matrix == enumerated[w.word]
+    assert {w.word for w in walked} == {w.word for w in enumerate_group(rs)}
 
 
 def test_element_words_multiply_back():
+    # rho is regular, so distinct elements move it to distinct vectors
     rs = build("B", 3)
-    gens = {i: simple_reflection(i, rs) for i in (1, 2, 3)}
-    for w in enumerate_group(rs):
-        product = identity_element(rs).matrix
-        for i in w.word:
-            product = lattice.mat_mul(product, gens[i].matrix)
-        assert product == w.matrix
+    images = {w.act(rs.rho) for w in enumerate_group(rs)}
+    assert len(images) == group_order(rs)
 
 
-def test_signed_permutation_action_agrees_with_matrix():
+def test_b4_action_is_signed_permutation():
     rs = build("B", 4)
     rng = random.Random(3)
     elements = list(enumerate_group(rs))
+    basis = [lattice.vector([int(a == b) for b in range(4)]) for a in range(4)]
     for _ in range(200):
         w = rng.choice(elements)
-        v = lattice.vector([Fraction(rng.randint(-9, 9), rng.choice([1, 2]))
-                            for _ in range(4)])
-        for column in zip(*w.matrix):
-            assert sorted(abs(c) for c in column) == [0, 0, 0, 1]
-        assert w.act(v) == lattice.mat_vec(w.matrix, v)
+        for e in basis:
+            assert sorted(abs(c) for c in w.act(e)) == [0, 0, 0, 1]
+        u, v = (lattice.vector([Fraction(rng.randint(-9, 9), rng.choice([1, 2]))
+                                for _ in range(4)]) for _ in range(2))
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        assert w.act(lattice.add(lattice.scale(c, u), v)) == lattice.add(
+            lattice.scale(c, w.act(u)), w.act(v))
 
 
 def test_orbit_sizes():
@@ -161,3 +158,31 @@ def test_str_words():
     rs = build("B", 3)
     assert str(simple_reflection(2, rs)) == "s2"
     assert str(WeylElement((2, 3), rs)) == "s2*s3"
+
+
+def test_relation_check_can_fail(monkeypatch):
+    # an order one short for one pair makes (s_i s_j)^(m-1) a nontrivial
+    # rotation of the plane of alpha_i and alpha_j
+    rs = build("B", 3)
+    monkeypatch.setattr(weyl, "_GENERATOR_CACHE", {})
+    true_order = weyl.coxeter_order
+
+    def short_order(rs, i, j):
+        m = true_order(rs, i, j)
+        return m - 1 if (i, j) == (2, 3) else m
+
+    monkeypatch.setattr(weyl, "coxeter_order", short_order)
+    with pytest.raises(RuntimeError, match="braid relation"):
+        generators(rs)
+    assert ("B", 3) not in weyl._GENERATOR_CACHE
+
+
+@pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3),
+                                         ("D", 4), ("G2", 2), ("F4", 4),
+                                         ("E6", 6), ("E7", 7), ("E8", 8)])
+def test_relation_check_passes(label, rank, monkeypatch):
+    rs = build(label, rank)
+    monkeypatch.setattr(weyl, "_GENERATOR_CACHE", {})
+    gens = generators(rs)
+    assert [g.word for g in gens] == [(i,) for i in range(1, rank + 1)]
+    assert weyl._GENERATOR_CACHE[(label, rank)] is gens
