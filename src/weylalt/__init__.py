@@ -2,16 +2,15 @@
 
 Root systems are realized in an ambient rational space. Weyl group elements
 are lex-least reduced words that act by simple reflections. The Kostant
-partition function and its q-analog come from one packed table per root
-system, filled by a knapsack pass per positive root, and multiplicities come
-from the alternating sum over the Weyl alternation set, which one integer
-walk of the weak order finds for every type.
+partition function and its q-analog come from one packed table per
+RootSystem object, filled by a knapsack pass per positive root, and
+multiplicities come from the alternating sum over the Weyl alternation set,
+which one integer walk of the weak order finds for every type.
 """
 
 from .errors import (CapExceeded, HeightExceeded, NotInRootSpan,
                      UnsupportedRank, WeylaltError)
-from .kostant import (PartitionCache, QPolynomial, partition, partition_q,
-                      partition_q_bruteforce)
+from .kostant import QPolynomial, partition, partition_q, partition_q_bruteforce
 from .multiplicity import (AlternationSet, WeightDiagramEntry,
                            alternation_set, multiplicity, q_multiplicity,
                            q_multiplicity_terms, weight_diagram)
@@ -31,7 +30,6 @@ __all__ = [
     "DEFAULT_CAP",
     "HeightExceeded",
     "NotInRootSpan",
-    "PartitionCache",
     "QPolynomial",
     "RootSystem",
     "UnsupportedRank",

@@ -273,18 +273,22 @@ def _weight_pair(args, rs):
     return lam, mu
 
 
-def cmd_weyl_alt(args) -> RunReport:
-    rs = build(args.type, args.rank)
-    lam, mu = _weight_pair(args, rs)
-    cap = _resolve_cap(args)
-    terms = q_multiplicity_terms(lam, mu, rs, cap)
-    records = [
+def _term_records(terms) -> list[dict]:
+    return [
         {"word": str(element),
          "length": element.length,
          "sign": 1 if element.length % 2 == 0 else -1,
          "pq": pq}
         for element, pq in terms
     ]
+
+
+def cmd_weyl_alt(args) -> RunReport:
+    rs = build(args.type, args.rank)
+    lam, mu = _weight_pair(args, rs)
+    cap = _resolve_cap(args)
+    terms = q_multiplicity_terms(lam, mu, rs, cap)
+    records = _term_records(terms)
     parameters = {
         "type": rs.type_label,
         "rank": rs.rank,
@@ -302,13 +306,7 @@ def cmd_mult(args) -> RunReport:
     cap = _resolve_cap(args)
     terms = q_multiplicity_terms(lam, mu, rs, cap)
     total = alternating_sum(terms)
-    records = [
-        {"word": str(element),
-         "length": element.length,
-         "sign": 1 if element.length % 2 == 0 else -1,
-         "pq": pq}
-        for element, pq in terms
-    ]
+    records = _term_records(terms)
     parameters = {
         "type": rs.type_label,
         "rank": rs.rank,

@@ -1,10 +1,11 @@
 """Kostant partition function and its q-analog, computed exactly.
 
 The q-analog P_q(xi) = sum_j c_j q^j counts the ways to write xi as a sum of
-exactly j positive roots. The main path is one dense table per root system
-over a box [0, top] in simple-root coordinates, filled by one
-unbounded-knapsack pass per positive root with each polynomial packed into a
-single int (see BoxTable); a lookup outside the box builds a new table.
+exactly j positive roots. The main path is one dense table per RootSystem
+object (build hands out one per type and rank) over a box [0, top] in
+simple-root coordinates, filled by one unbounded-knapsack pass per positive
+root with each polynomial packed into a single int (see BoxTable); a lookup
+outside the box builds a new table.
 Two independent routes are kept as oracles and never merged with it: the
 recursion over a permuted root list (partition_q with root_order) and
 partition_q_bruteforce, an exhaustive search with no memo.
@@ -12,7 +13,6 @@ partition_q_bruteforce, an exhaustive search with no memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import le, mul
 from typing import Iterable, Sequence
@@ -247,58 +247,31 @@ class BoxTable:
         return value
 
 
-@dataclass
-class PartitionCache:
-    """One root system's P_q box table, grown on demand.
+# RootSystem is eq=False, so each build() instance is its own key
+_DEFAULT_CACHES: dict[RootSystem, BoxTable] = {}
+
+
+def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
+    """P_q of nonnegative simple-root coordinates from rs's table.
 
     A lookup outside the box builds a new table: over the coordinatewise
     union of the old box and the request when that has no more cells than
     the two together, else over the request alone, so memory stays bounded
     and skewed lookups do not inflate the box. The table is replaced as one
-    attribute and never changed in place apart from its idempotent decoded
+    dict entry and never changed in place apart from its idempotent decoded
     cells, so concurrent callers at worst build or decode the same thing
     twice.
     """
-
-    type_label: str
-    rank: int
-    table: BoxTable | None = None
-
-    def __len__(self) -> int:
-        """Cells in the current table."""
-        return 0 if self.table is None else len(self.table)
-
-    def matches(self, rs: RootSystem) -> bool:
-        return self.type_label == rs.type_label and self.rank == rs.rank
-
-    def lookup(self, coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
-        """P_q of nonnegative simple-root coordinates, building as needed.
-
-        Raises ValueError when rs is not the cache's root system.
-        """
-        if not self.matches(rs):
-            raise ValueError(f"cache is for {self.type_label}{self.rank}, not {rs}")
-        table = self.table
-        if table is None or not table.covers(coords):
-            top = coords
-            if table is not None:
-                union = tuple(map(max, table.top, coords))
-                cells = prod(t + 1 for t in union)
-                if cells <= len(table) + prod(c + 1 for c in coords):
-                    top = union
-            table = self.table = BoxTable(top, rs.positive_root_alpha_coords)
-        return table.lookup(coords)
-
-
-_DEFAULT_CACHES: dict[tuple[str, int], PartitionCache] = {}
-
-
-def default_cache(rs: RootSystem) -> PartitionCache:
-    key = (rs.type_label, rs.rank)
-    cache = _DEFAULT_CACHES.get(key)
-    if cache is None:
-        cache = _DEFAULT_CACHES.setdefault(key, PartitionCache(rs.type_label, rs.rank))
-    return cache
+    table = _DEFAULT_CACHES.get(rs)
+    if table is None or not table.covers(coords):
+        top = coords
+        if table is not None:
+            union = tuple(map(max, table.top, coords))
+            cells = prod(t + 1 for t in union)
+            if cells <= len(table) + prod(c + 1 for c in coords):
+                top = union
+        table = _DEFAULT_CACHES[rs] = BoxTable(top, rs.positive_root_alpha_coords)
+    return table.lookup(coords)
 
 
 def _validated_alpha_coords(xi: Vector, rs: RootSystem) -> tuple[int, ...] | None:
@@ -348,8 +321,7 @@ def _recurse(target: tuple[int, ...], index: int,
     return result
 
 
-def partition_q_alpha(coords: Sequence[int], rs: RootSystem,
-                      cache: PartitionCache | None = None) -> QPolynomial:
+def partition_q_alpha(coords: Sequence[int], rs: RootSystem) -> QPolynomial:
     """P_q for a vector given directly by simple-root coordinates."""
     if len(coords) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(coords)}")
@@ -358,13 +330,10 @@ def partition_q_alpha(coords: Sequence[int], rs: RootSystem,
     coords = tuple(int(c) for c in coords)
     if any(c < 0 for c in coords):
         return QPolynomial.zero()
-    if cache is None:
-        cache = default_cache(rs)
-    return cache.lookup(coords, rs)
+    return _table_lookup(coords, rs)
 
 
 def partition_q(xi: Vector, rs: RootSystem,
-                cache: PartitionCache | None = None,
                 root_order: Sequence[int] | None = None) -> QPolynomial:
     """q-analog of the Kostant partition function of an ambient vector.
 
@@ -381,13 +350,12 @@ def partition_q(xi: Vector, rs: RootSystem,
         if sorted(roots) != sorted(rs.positive_root_alpha_coords):
             raise ValueError("root_order must be a permutation of the positive roots")
         return QPolynomial(_recurse(coords, 0, roots, {}))
-    return partition_q_alpha(coords, rs, cache)
+    return partition_q_alpha(coords, rs)
 
 
-def partition(xi: Vector, rs: RootSystem,
-              cache: PartitionCache | None = None) -> int:
+def partition(xi: Vector, rs: RootSystem) -> int:
     """Plain Kostant partition function: P_q evaluated at q = 1."""
-    return partition_q(xi, rs, cache).evaluate(1)
+    return partition_q(xi, rs).evaluate(1)
 
 
 def partition_q_bruteforce(xi: Vector, rs: RootSystem) -> QPolynomial:

@@ -29,7 +29,7 @@ from typing import Iterable
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
 from .errors import NotInRootSpan
-from .kostant import PartitionCache, QPolynomial, partition_q_alpha
+from .kostant import QPolynomial, partition_q_alpha
 from .lattice import Vector
 from .rootsystem import RootSystem, is_dominant_integral, to_simple_root_coords
 from .weyl import DEFAULT_CAP, WeylElement, check_cap
@@ -118,30 +118,27 @@ def alternating_sum(terms: Iterable[tuple[WeylElement, QPolynomial]]) -> QPolyno
 
 
 def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
-                   cap: int = DEFAULT_CAP,
-                   cache: PartitionCache | None = None) -> QPolynomial:
+                   cap: int = DEFAULT_CAP) -> QPolynomial:
     """Alternating sum of P_q over the alternation set; may have negative
     coefficients term by term, returned as computed."""
     terms = _survivor_terms(lam, mu, rs, cap)
-    return alternating_sum((element, partition_q_alpha(coords, rs, cache))
+    return alternating_sum((element, partition_q_alpha(coords, rs))
                            for element, coords in terms)
 
 
 def multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
-                 cap: int = DEFAULT_CAP,
-                 cache: PartitionCache | None = None) -> int:
+                 cap: int = DEFAULT_CAP) -> int:
     """Kostant weight multiplicity m(lambda, mu)."""
-    return q_multiplicity(lam, mu, rs, cap, cache).evaluate(1)
+    return q_multiplicity(lam, mu, rs, cap).evaluate(1)
 
 
 def q_multiplicity_terms(lam: Vector, mu: Vector, rs: RootSystem,
-                         cap: int = DEFAULT_CAP,
-                         cache: PartitionCache | None = None
+                         cap: int = DEFAULT_CAP
                          ) -> list[tuple[WeylElement, QPolynomial]]:
     """Per-element P_q values over the alternation set, sign not applied."""
     terms = _survivor_terms(lam, mu, rs, cap)
     return sorted(
-        ((element, partition_q_alpha(coords, rs, cache)) for element, coords in terms),
+        ((element, partition_q_alpha(coords, rs)) for element, coords in terms),
         key=lambda pair: (pair[0].length, pair[0].word),
     )
 

@@ -59,14 +59,11 @@ class RootSystem:
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_root_alpha_coords: tuple[tuple[int, ...], ...]
     gram_inverse: Matrix = field(repr=False)
-
-    def bilinear(self, u: Vector, v: Vector) -> Fraction:
-        return lattice.dot(u, v)
+    simple_coroots: tuple[Vector, ...] = field(repr=False)
 
     def coroot_pairing(self, w: Vector, i: int) -> Fraction:
-        """<w, alpha_i^vee> for 1-based i."""
-        alpha = self.simple_roots[i - 1]
-        return 2 * lattice.dot(w, alpha) / lattice.dot(alpha, alpha)
+        """<w, alpha_i^vee> for 1-based i, alpha_i^vee = 2 alpha_i / |alpha_i|^2."""
+        return lattice.dot(w, self.simple_coroots[i - 1])
 
     def __str__(self) -> str:
         if self.type_label in EXCEPTIONAL_RANKS:
@@ -280,12 +277,12 @@ def build(type_label: str, rank: int) -> RootSystem:
             raise RuntimeError(f"{type_label}{rank}: non-integral root coordinates")
         alpha_coords.append(tuple(int(c) for c in coords))
 
+    coroots = tuple(lattice.scale(2 / lattice.dot(a, a), a) for a in simple)
     cartan = []
-    for i, ai in enumerate(simple):
-        norm = lattice.dot(ai, ai)
+    for coroot in coroots:
         row = []
-        for j, aj in enumerate(simple):
-            entry = 2 * lattice.dot(ai, aj) / norm
+        for aj in simple:
+            entry = lattice.dot(aj, coroot)
             if entry.denominator != 1:
                 raise RuntimeError(f"{type_label}{rank}: non-integral Cartan entry")
             row.append(int(entry))
@@ -314,6 +311,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         cartan_matrix=cartan,
         positive_root_alpha_coords=tuple(alpha_coords),
         gram_inverse=gram_inv,
+        simple_coroots=coroots,
     )
 
     for i in range(1, rank + 1):

@@ -9,6 +9,7 @@ oracle for the weak-order walk that finds alternation sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -102,20 +103,15 @@ def coxeter_order(rs: RootSystem, i: int, j: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}[product]
 
 
-_GENERATOR_CACHE: dict[tuple[str, int], tuple[WeylElement, ...]] = {}
-
-
+@functools.cache
 def generators(rs: RootSystem) -> tuple[WeylElement, ...]:
     """Simple reflections s_1..s_r, Coxeter relations verified on first build.
 
     s_i^2 = 1 and (s_i s_j)^m_ij = 1 are checked on every simple root. Each
     reflection fixes the orthogonal complement of the root span, so a word
-    that fixes every simple root is the identity.
+    that fixes every simple root is the identity. The result is cached per
+    RootSystem object; a failed check raises and caches nothing.
     """
-    key = (rs.type_label, rs.rank)
-    cached = _GENERATOR_CACHE.get(key)
-    if cached is not None:
-        return cached
     gens = tuple(simple_reflection(i, rs) for i in range(1, rs.rank + 1))
     for i in range(1, rs.rank + 1):
         for j in range(i, rs.rank + 1):
@@ -129,7 +125,6 @@ def generators(rs: RootSystem) -> tuple[WeylElement, ...]:
                     if i == j:
                         raise RuntimeError(f"{rs}: s_{i} is not an involution")
                     raise RuntimeError(f"{rs}: braid relation for (s_{i}, s_{j}) failed")
-    _GENERATOR_CACHE[key] = gens
     return gens
 
 

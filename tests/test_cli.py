@@ -202,6 +202,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("mult_B_2_w2-w1", ["mult", "B", "2", "--lam", "w2-w1",
                         "--mu", "w2-w1-highest-root"]),
     ("roots_G2_2", ["roots", "G2", "2"]),
+    ("weyl-alt_D_4_highest-root", ["weyl-alt", "D", "4", "--lam", "highest-root"]),
+    ("verify_all", ["verify", "all"]),
 ])
 def test_json_output_matches_golden(name, argv, monkeypatch, capsys):
     # byte for byte, apart from the elapsed_ms field

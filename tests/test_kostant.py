@@ -9,9 +9,8 @@ import pytest
 
 from weylalt import kostant, lattice
 from weylalt.errors import HeightExceeded
-from weylalt.kostant import (PartitionCache, QPolynomial, partition,
-                             partition_q, partition_q_alpha,
-                             partition_q_bruteforce)
+from weylalt.kostant import (QPolynomial, partition, partition_q,
+                             partition_q_alpha, partition_q_bruteforce)
 from weylalt.multiplicity import _survivor_terms
 from weylalt.rootsystem import build, fundamental_weight
 from weylalt.weyl import group_order
@@ -182,24 +181,17 @@ def test_partition_q_rejects_bad_root_order():
         partition_q(xi, rs, root_order=[0, 0, 1, 2])
 
 
-# === cache behavior ===
+# === per-system tables ===
 
-def test_cache_matches_other_system():
-    cache = PartitionCache("B", 3)
-    assert not cache.matches(build("B", 2))
-    assert not cache.matches(build("C", 3))
-
-
-def test_cache_refuses_other_system():
+def test_tables_are_per_system():
     # B3 and C3 share the shape of their simple-root coordinates but not
     # their positive roots, so a B3 table must not answer a C3 lookup
     b3, c3 = build("B", 3), build("C", 3)
-    cache = PartitionCache("B", 3)
-    assert partition_q_alpha((1, 2, 2), b3, cache) == QPolynomial((0, 1, 3, 4, 2, 1))
-    with pytest.raises(ValueError):
-        partition_q_alpha((1, 2, 2), c3, cache)
-    fresh = PartitionCache("C", 3)
-    assert partition_q_alpha((1, 2, 2), c3, fresh) == QPolynomial((0, 0, 2, 4, 2, 1))
+    b3_value = QPolynomial((0, 1, 3, 4, 2, 1))
+    assert partition_q_alpha((1, 2, 2), b3) == b3_value
+    assert partition_q_alpha((1, 2, 2), c3) == QPolynomial((0, 0, 2, 4, 2, 1))
+    assert partition_q_alpha((1, 2, 2), b3) == b3_value
+    assert kostant._DEFAULT_CACHES[b3] is not kostant._DEFAULT_CACHES[c3]
 
 
 NINE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
@@ -221,45 +213,47 @@ def assert_matches_oracles(rs, coords, value):
 @pytest.mark.parametrize("label, rank", NINE_TYPES)
 def test_box_table_matches_oracles(label, rank, monkeypatch):
     rs = build(label, rank)
-    monkeypatch.delitem(kostant._DEFAULT_CACHES, (label, rank), raising=False)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
     rng = random.Random(23)
     high = 3 if rank <= 4 else 2
     top = tuple(rng.randint(1, high) for _ in range(rank))
     assert_matches_oracles(rs, top, partition_q_alpha(top, rs))
-    cache = kostant.default_cache(rs)
-    assert cache.table.top == top and len(cache) == prod(t + 1 for t in top)
+    table = kostant._DEFAULT_CACHES[rs]
+    assert table.top == top and len(table) == prod(t + 1 for t in top)
     # hits inside the built box leave it as it is
     for _ in range(12):
         x = tuple(rng.randint(0, t) for t in top)
         assert_matches_oracles(rs, x, partition_q_alpha(x, rs))
-    assert cache.table.top == top
+    assert kostant._DEFAULT_CACHES[rs] is table
     # a slightly larger request grows the box to the union
     grown = top[:-1] + (top[-1] + 1,)
     assert_matches_oracles(rs, grown, partition_q_alpha(grown, rs))
-    assert cache.table.top == grown
+    assert kostant._DEFAULT_CACHES[rs].top == grown
     # a skewed pair: the second request replaces the box, since the union
     # would hold more cells than the old box and the request together
     k = max(grown) + 2
     first = (k,) + (0,) * (rank - 1)
     second = (0, k) + (0,) * (rank - 2)
     assert_matches_oracles(rs, first, partition_q_alpha(first, rs))
-    before = cache.table.top
+    before = kostant._DEFAULT_CACHES[rs].top
     assert_matches_oracles(rs, second, partition_q_alpha(second, rs))
-    assert cache.table.top == second
-    assert len(cache) < prod(max(a, b) + 1 for a, b in zip(before, second))
-    # an explicit fresh cache gives the same values and leaves the default alone
-    fresh = PartitionCache(rs.type_label, rs.rank)
+    table = kostant._DEFAULT_CACHES[rs]
+    assert table.top == second
+    assert len(table) < prod(max(a, b) + 1 for a, b in zip(before, second))
+    # a fresh table over the first box gives the same values and leaves the
+    # system's table alone
+    fresh = kostant.BoxTable(top, rs.positive_root_alpha_coords)
     for _ in range(4):
         x = tuple(rng.randint(0, t) for t in top)
-        assert_matches_oracles(rs, x, partition_q_alpha(x, rs, fresh))
-    assert fresh.table is not cache.table and cache.table.top == second
+        assert_matches_oracles(rs, x, fresh.lookup(x))
+    assert kostant._DEFAULT_CACHES[rs] is table and table.top == second
 
 
 def test_box_table_on_unpruned_b2_terms(monkeypatch):
     # lambda + rho is not dominant, so the walk is unpruned and the
     # survivors' xi need not lie in the box [0, lambda - mu]
     rs = build("B", 2)
-    monkeypatch.delitem(kostant._DEFAULT_CACHES, ("B", 2), raising=False)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
     w1, w2 = fundamental_weight(rs, 1), fundamental_weight(rs, 2)
     checked = 0
     for lam in (lattice.sub(w2, w1), lattice.sub(w2, lattice.scale(3, w1))):

@@ -164,7 +164,6 @@ def test_relation_check_can_fail(monkeypatch):
     # an order one short for one pair makes (s_i s_j)^(m-1) a nontrivial
     # rotation of the plane of alpha_i and alpha_j
     rs = build("B", 3)
-    monkeypatch.setattr(weyl, "_GENERATOR_CACHE", {})
     true_order = weyl.coxeter_order
 
     def short_order(rs, i, j):
@@ -173,16 +172,22 @@ def test_relation_check_can_fail(monkeypatch):
 
     monkeypatch.setattr(weyl, "coxeter_order", short_order)
     with pytest.raises(RuntimeError, match="braid relation"):
-        generators(rs)
-    assert ("B", 3) not in weyl._GENERATOR_CACHE
+        generators.__wrapped__(rs)
+    # through the cache, on a RootSystem object it has not seen: the failure
+    # is raised and not cached
+    fresh = build.__wrapped__("B", 3)
+    with pytest.raises(RuntimeError, match="braid relation"):
+        generators(fresh)
+    monkeypatch.undo()
+    assert [g.word for g in generators(fresh)] == [(1,), (2,), (3,)]
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3),
                                          ("D", 4), ("G2", 2), ("F4", 4),
                                          ("E6", 6), ("E7", 7), ("E8", 8)])
-def test_relation_check_passes(label, rank, monkeypatch):
+def test_relation_check_passes(label, rank):
     rs = build(label, rank)
-    monkeypatch.setattr(weyl, "_GENERATOR_CACHE", {})
-    gens = generators(rs)
+    gens = generators.__wrapped__(rs)
     assert [g.word for g in gens] == [(i,) for i in range(1, rank + 1)]
-    assert weyl._GENERATOR_CACHE[(label, rank)] is gens
+    assert generators(rs) is generators(rs)
+    assert generators(rs) == gens
