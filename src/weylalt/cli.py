@@ -78,6 +78,8 @@ def _json_value(value):
         return [_json_value(x) for x in value]
     if isinstance(value, (set, frozenset)):
         return [_json_value(x) for x in sorted(value)]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
     return str(value)
 
 
@@ -498,6 +500,8 @@ SUITES = {
 
 def cmd_verify(args) -> RunReport:
     cap = _resolve_cap(args)
+    if args.max_rank is not None and args.max_rank < 0:
+        raise ValueError(f"--max-rank must be nonnegative, got {args.max_rank}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     ranks = {}

@@ -16,7 +16,9 @@ Realizations:
 
 The Cartan matrix convention is C[i][j] = <alpha_j, alpha_i^vee>
 = 2(alpha_i, alpha_j)/(alpha_i, alpha_i), so the fundamental coordinates of a
-vector w are C applied to its simple-root coordinates.
+vector w (its coroot pairings <w, alpha_i^vee>) are C applied to its
+simple-root coordinates, and the simple-root coordinates are C^-1 applied to
+the coroot pairings. The fundamental weights are the columns of C^-1.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class RootSystem:
     rho: Vector
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_root_alpha_coords: tuple[tuple[int, ...], ...]
-    gram_inverse: Matrix = field(repr=False)
+    inverse_cartan: Matrix = field(repr=False)
     simple_coroots: tuple[Vector, ...] = field(repr=False)
 
     def coroot_pairing(self, w: Vector, i: int) -> Fraction:
@@ -205,17 +207,10 @@ def _exceptional_roots(type_label: str):
     return dim, simple, roots
 
 
-def _alpha_coords_raw(w: Vector, simple: list[Vector], gram_inv: Matrix) -> Vector:
-    pairings = tuple(lattice.dot(w, a) for a in simple)
-    return lattice.mat_vec(gram_inv, pairings)
-
-
 def _expand(coords: Vector, basis) -> Vector:
-    out = lattice.zeros(len(basis[0]))
-    for c, b in zip(coords, basis):
-        if c:
-            out = lattice.add(out, lattice.scale(c, b))
-    return out
+    terms = [(c, b) for c, b in zip(coords, basis) if c]
+    return tuple(sum((c * b[k] for c, b in terms if b[k]), Fraction(0))
+                 for k in range(len(basis[0])))
 
 
 @lru_cache(maxsize=None)
@@ -232,73 +227,65 @@ def build(type_label: str, rank: int) -> RootSystem:
             raise UnsupportedRank(f"type {type_label} requires rank >= {minimum}, got {rank}")
         dim, simple, positive = _classical_roots(type_label, rank)
         candidates = None
+        name = f"{type_label}{rank}"
     elif type_label in EXCEPTIONAL_RANKS:
         if rank != EXCEPTIONAL_RANKS[type_label]:
             raise UnsupportedRank(
                 f"type {type_label} has rank {EXCEPTIONAL_RANKS[type_label]}, got {rank}")
         dim, simple, candidates = _exceptional_roots(type_label)
         positive = None
+        name = type_label
     else:
         raise UnsupportedRank(f"unknown type {type_label!r}")
 
-    gram = tuple(tuple(lattice.dot(a, b) for b in simple) for a in simple)
-    gram_inv = lattice.invert(gram)
+    coroots = tuple(lattice.scale(2 / lattice.dot(a, a), a) for a in simple)
+    entries = [[lattice.dot(aj, coroot) for aj in simple] for coroot in coroots]
+    if any(x.denominator != 1 for row in entries for x in row):
+        raise RuntimeError(f"{name}: non-integral Cartan entry")
+    cartan = tuple(tuple(int(x) for x in row) for row in entries)
+    inverse_cartan = lattice.invert(entries)
+
+    def root_coords(root: Vector) -> Vector:
+        coords = lattice.mat_vec(inverse_cartan, tuple(lattice.dot(root, v) for v in coroots))
+        if _expand(coords, simple) != root:
+            raise RuntimeError(f"{name}: root outside simple-root span")
+        return coords
 
     if positive is None:
         # split the full root set into halves by simple-root coordinate sign
-        positive = []
+        pairs = []
         negative = 0
         for root in candidates:
-            coords = _alpha_coords_raw(root, simple, gram_inv)
-            if _expand(coords, simple) != root:
-                raise RuntimeError(f"{type_label}: root outside simple-root span")
+            coords = root_coords(root)
             if all(c >= 0 for c in coords):
-                positive.append(root)
+                pairs.append((root, coords))
             else:
                 if not all(c <= 0 for c in coords):
-                    raise RuntimeError(f"{type_label}: root with mixed coordinate signs")
+                    raise RuntimeError(f"{name}: root with mixed coordinate signs")
                 negative += 1
-        if negative != len(positive):
-            raise RuntimeError(f"{type_label}: root set is not symmetric")
-        positive.sort(key=lambda v: (sum(_alpha_coords_raw(v, simple, gram_inv)),
-                                     _alpha_coords_raw(v, simple, gram_inv)))
+        if negative != len(pairs):
+            raise RuntimeError(f"{name}: root set is not symmetric")
+        pairs.sort(key=lambda pair: (sum(pair[1]), pair[1]))
+    else:
+        pairs = [(root, root_coords(root)) for root in positive]
+    positive = [root for root, _ in pairs]
 
     expected = _POSITIVE_COUNT[type_label](rank)
     if len(positive) != expected:
-        raise RuntimeError(
-            f"{type_label}{rank}: {len(positive)} positive roots, expected {expected}")
+        raise RuntimeError(f"{name}: {len(positive)} positive roots, expected {expected}")
 
-    alpha_coords = []
-    for root in positive:
-        coords = _alpha_coords_raw(root, simple, gram_inv)
-        if _expand(coords, simple) != root:
-            raise RuntimeError(f"{type_label}{rank}: positive root outside span")
-        if any(c.denominator != 1 or c < 0 for c in coords):
-            raise RuntimeError(f"{type_label}{rank}: non-integral root coordinates")
-        alpha_coords.append(tuple(int(c) for c in coords))
+    if any(c.denominator != 1 or c < 0 for _, coords in pairs for c in coords):
+        raise RuntimeError(f"{name}: non-integral root coordinates")
+    alpha_coords = tuple(tuple(int(c) for c in coords) for _, coords in pairs)
 
-    coroots = tuple(lattice.scale(2 / lattice.dot(a, a), a) for a in simple)
-    cartan = []
-    for coroot in coroots:
-        row = []
-        for aj in simple:
-            entry = lattice.dot(aj, coroot)
-            if entry.denominator != 1:
-                raise RuntimeError(f"{type_label}{rank}: non-integral Cartan entry")
-            row.append(int(entry))
-        cartan.append(tuple(row))
-    cartan = tuple(cartan)
-
-    # omega_i = sum_j ((C^T)^-1)[i][j] alpha_j gives <omega_i, alpha_j^vee> = delta_ij
-    ct_inv = lattice.invert(lattice.transpose(
-        tuple(tuple(Fraction(x) for x in row) for row in cartan)))
-    fundamental = tuple(_expand(row, simple) for row in ct_inv)
+    # omega_i = sum_j C^-1[j][i] alpha_j gives <omega_i, alpha_k^vee> = delta_ik
+    fundamental = tuple(_expand(col, simple) for col in lattice.transpose(inverse_cartan))
 
     rho_half_sum = lattice.scale(Fraction(1, 2),
                                  _expand((Fraction(1),) * len(positive), positive))
     rho_weights = _expand((Fraction(1),) * rank, fundamental)
     if rho_half_sum != rho_weights:
-        raise RuntimeError(f"{type_label}{rank}: rho computed two ways disagrees")
+        raise RuntimeError(f"{name}: rho computed two ways disagrees")
 
     rs = RootSystem(
         type_label=type_label,
@@ -309,15 +296,15 @@ def build(type_label: str, rank: int) -> RootSystem:
         fundamental_weights=fundamental,
         rho=rho_weights,
         cartan_matrix=cartan,
-        positive_root_alpha_coords=tuple(alpha_coords),
-        gram_inverse=gram_inv,
+        positive_root_alpha_coords=alpha_coords,
+        inverse_cartan=inverse_cartan,
         simple_coroots=coroots,
     )
 
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             if rs.coroot_pairing(fundamental[i - 1], j) != (1 if i == j else 0):
-                raise RuntimeError(f"{type_label}{rank}: weight/coroot duality broken")
+                raise RuntimeError(f"{name}: weight/coroot duality broken")
     return rs
 
 
@@ -325,7 +312,8 @@ def to_simple_root_coords(w: Vector, rs: RootSystem) -> Vector:
     """Coordinates of w in the simple-root basis; NotInRootSpan if w is outside."""
     if len(w) != rs.ambient_dim:
         raise ValueError(f"expected {rs.ambient_dim} coordinates, got {len(w)}")
-    coords = _alpha_coords_raw(w, list(rs.simple_roots), rs.gram_inverse)
+    coords = lattice.mat_vec(rs.inverse_cartan,
+                             tuple(lattice.dot(w, v) for v in rs.simple_coroots))
     if _expand(coords, rs.simple_roots) != w:
         raise NotInRootSpan(f"{w} is not in the span of the simple roots of {rs}")
     return coords

@@ -156,6 +156,13 @@ def test_cap_must_be_positive(capsys):
     capsys.readouterr()
 
 
+def test_max_rank_must_be_nonnegative(capsys):
+    assert main(["verify", "fibonacci", "--max-rank", "-3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-rank must be nonnegative, got -3" in captured.err
+
+
 # === removed flags ===
 
 def test_cache_file_flag_is_gone(tmp_path, capsys):
@@ -204,6 +211,10 @@ GOLDEN = Path(__file__).parent / "golden"
     ("roots_G2_2", ["roots", "G2", "2"]),
     ("weyl-alt_D_4_highest-root", ["weyl-alt", "D", "4", "--lam", "highest-root"]),
     ("verify_all", ["verify", "all"]),
+    ("roots_E8_8", ["roots", "E8", "8"]),
+    ("roots_E6_6", ["roots", "E6", "6"]),
+    ("roots_F4_4", ["roots", "F4", "4"]),
+    ("roots_A_3", ["roots", "A", "3"]),
 ])
 def test_json_output_matches_golden(name, argv, monkeypatch, capsys):
     # byte for byte, apart from the elapsed_ms field

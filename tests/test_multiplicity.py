@@ -15,7 +15,7 @@ from weylalt.multiplicity import (_survivor_terms, alternation_set,
                                   weight_diagram)
 from weylalt.rootsystem import (build, dominant_integral_weights_in_box,
                                 fundamental_weight, highest_root,
-                                to_simple_root_coords)
+                                sum_of_simple_roots, to_simple_root_coords)
 from weylalt.weyl import enumerate_group, generators, group_order
 
 
@@ -319,3 +319,25 @@ def test_predicted_count_by_length():
                                lattice.zeros(r), build("B", r),
                                cap=group_order(build("B", r)))
         assert total == len(aset)
+
+
+# === the paper's C, D and exceptional counts for lam = sum of simple roots ===
+
+def _lucas(n):
+    a, b = 2, 1  # L_0, L_1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("label, rank, expected", [
+    *[("C", r, 2 * _lucas(r - 2)) for r in range(3, 10)],
+    *[("D", r, 2 * _lucas(r - 3)) for r in range(4, 10)],
+    ("G2", 2, 2), ("F4", 4, 4), ("E6", 6, 12), ("E7", 7, 18), ("E8", 8, 30),
+])
+def test_sum_of_simple_roots_alternation_counts(label, rank, expected):
+    # lam + rho is dominant but singular here, so the signed terms cancel to 0
+    rs = build(label, rank)
+    lam, cap = sum_of_simple_roots(rs), group_order(rs)
+    assert len(alternation_set(lam, zero_of(rs), rs, cap)) == expected
+    assert q_multiplicity(lam, zero_of(rs), rs, cap) == QPolynomial.zero()

@@ -1,11 +1,12 @@
 """Root system realizations: roots, weights, rho, coordinate changes."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from weylalt import lattice
+from weylalt import lattice, rootsystem
 from weylalt.errors import NotInRootSpan, UnsupportedRank
 from weylalt.rootsystem import (build, dominant_integral_weights_in_box,
                                 fundamental_weight, highest_root, is_dominant,
@@ -141,11 +142,72 @@ def test_unknown_type():
 
 
 def test_to_simple_root_coords_rejects_off_span():
-    rs = build("A", 2)
+    # each vector is orthogonal to the root span, which is smaller than the ambient space
+    for label, rank, off_span in [
+        ("A", 2, (1, 1, 1)),
+        ("G2", 2, (1, 1, 1)),
+        ("E6", 6, (0, 0, 0, 0, 0, 1, -1, 0)),  # e6 - e7
+        ("E7", 7, (0, 0, 0, 0, 0, 0, 1, 1)),  # e7 + e8
+    ]:
+        rs = build(label, rank)
+        off_span = lattice.vector(off_span)
+        for w in (off_span, lattice.add(rs.rho, off_span)):
+            with pytest.raises(NotInRootSpan):
+                to_simple_root_coords(w, rs)
+        with pytest.raises(ValueError):
+            to_simple_root_coords(off_span[1:], rs)  # wrong dimension
     with pytest.raises(NotInRootSpan):
-        to_simple_root_coords(lattice.vector([1, 0, 0]), rs)  # nonzero coordinate sum
-    with pytest.raises(ValueError):
-        to_simple_root_coords(lattice.vector([1, 0]), rs)  # wrong dimension
+        to_simple_root_coords(lattice.vector([1, 0, 0]), build("A", 2))  # nonzero coordinate sum
+
+
+def _replace(roots, old, new):
+    return [new if r == old else r for r in roots]
+
+
+# Each edit breaks one realization the way a wrong root table would;
+# build must refuse it with the matching RuntimeError.
+@pytest.mark.parametrize("label, rank, source, edit, message", [
+    ("E8", 8, "_exceptional_roots",
+     lambda dim, simple, roots: (dim, simple, roots + [lattice.sub(simple[0], simple[1])]),
+     "E8: root with mixed coordinate signs"),
+    ("E6", 6, "_exceptional_roots",
+     lambda dim, simple, roots: (dim, simple, [r for r in roots if r != lattice.neg(simple[0])]),
+     "E6: root set is not symmetric"),
+    ("F4", 4, "_exceptional_roots",
+     lambda dim, simple, roots: (dim, simple, [r for r in roots
+                                               if r not in (simple[0], lattice.neg(simple[0]))]),
+     "F4: 23 positive roots, expected 24"),
+    ("B", 3, "_classical_roots",
+     lambda dim, simple, positive: (dim, simple, positive[1:]),
+     "B3: 8 positive roots, expected 9"),
+    ("E7", 7, "_exceptional_roots",
+     lambda dim, simple, roots: (dim, simple, roots + [lattice.vector([0] * 6 + [1, 1])]),
+     "E7: root outside simple-root span"),
+    ("A", 3, "_classical_roots",
+     lambda dim, simple, positive: (dim, simple, _replace(positive, positive[0],
+                                                          lattice.vector([1, 0, 0, 0]))),
+     "A3: root outside simple-root span"),
+    ("C", 3, "_classical_roots",
+     lambda dim, simple, positive: (dim, simple, _replace(positive, lattice.vector([2, 0, 0]),
+                                                          lattice.vector([1, 0, 0]))),
+     "C3: non-integral root coordinates"),
+    ("D", 4, "_classical_roots",
+     lambda dim, simple, positive: (dim, simple, _replace(positive, positive[0],
+                                                          lattice.neg(positive[0]))),
+     "D4: non-integral root coordinates"),
+    ("G2", 2, "_exceptional_roots",
+     lambda dim, simple, roots: (dim, [simple[0], lattice.scale(2, simple[1])], roots),
+     "G2: non-integral Cartan entry"),
+    ("B", 2, "_classical_roots",
+     lambda dim, simple, positive: (dim, simple, _replace(positive, lattice.vector([1, 1]),
+                                                          lattice.vector([2, -2]))),
+     "B2: rho computed two ways disagrees"),
+])
+def test_build_rejects_broken_realizations(label, rank, source, edit, message, monkeypatch):
+    original = getattr(rootsystem, source)
+    monkeypatch.setattr(rootsystem, source, lambda *args: edit(*original(*args)))
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        build.__wrapped__(label, rank)
 
 
 @pytest.mark.parametrize("label, rank", [("A", 2), ("B", 3), ("C", 3),
