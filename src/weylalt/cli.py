@@ -322,9 +322,13 @@ def cmd_mult(args) -> RunReport:
     return RunReport("mult", parameters, records=records)
 
 
+# the fibonacci, qmult, charB and nonzero-mu suites sweep ranks 2..max_rank
+SMALLEST_RANK = 2
+
+
 def suite_fibonacci(max_rank: int, cap: int, seed: int) -> list:
     checks = []
-    for r in range(2, max_rank + 1):
+    for r in range(SMALLEST_RANK, max_rank + 1):
         rs = build("B", r)
         zero = lattice.zeros(rs.ambient_dim)
         w1 = fundamental_weight(rs, 1)
@@ -359,7 +363,7 @@ def suite_fibonacci(max_rank: int, cap: int, seed: int) -> list:
         checks.append(check(f"B{r} histogram",
                             sorted(expected_histogram.items()),
                             sorted(histogram.items())))
-    for r in range(2, max_rank + 1):
+    for r in range(SMALLEST_RANK, max_rank + 1):
         rs = build("A", r)
         aset = alternation_set(highest_root(rs), lattice.zeros(rs.ambient_dim),
                                rs, cap)
@@ -369,7 +373,7 @@ def suite_fibonacci(max_rank: int, cap: int, seed: int) -> list:
 
 def suite_qmult(max_rank: int, cap: int, seed: int) -> list:
     checks = []
-    for r in range(2, max_rank + 1):
+    for r in range(SMALLEST_RANK, max_rank + 1):
         rs = build("B", r)
         zero = lattice.zeros(rs.ambient_dim)
         w1 = fundamental_weight(rs, 1)
@@ -381,7 +385,7 @@ def suite_qmult(max_rank: int, cap: int, seed: int) -> list:
 
 def suite_char_b(max_rank: int, cap: int, seed: int) -> list:
     checks = []
-    for r in range(2, max_rank + 1):
+    for r in range(SMALLEST_RANK, max_rank + 1):
         rs = build("B", r)
         w1 = fundamental_weight(rs, 1)
         entries = weight_diagram(w1, rs, cap)
@@ -396,7 +400,7 @@ def suite_char_b(max_rank: int, cap: int, seed: int) -> list:
 
 def suite_nonzero_mu(max_rank: int, cap: int, seed: int) -> list:
     checks = []
-    for r in range(2, max_rank + 1):
+    for r in range(SMALLEST_RANK, max_rank + 1):
         rs = build("B", r)
         zero = lattice.zeros(rs.ambient_dim)
         w1 = fundamental_weight(rs, 1)
@@ -509,7 +513,11 @@ def cmd_verify(args) -> RunReport:
         fn, default_rank = SUITES[name]
         max_rank = args.max_rank if args.max_rank is not None else default_rank
         ranks[name] = max_rank
-        checks.extend(fn(max_rank, cap, args.seed))
+        suite_checks = fn(max_rank, cap, args.seed)
+        if not suite_checks:
+            raise ValueError(f"suite {name} runs no check at --max-rank {max_rank}; "
+                             f"its smallest rank is {SMALLEST_RANK}")
+        checks.extend(suite_checks)
     parameters = {
         "suites": names,
         "max_rank": {name: ranks[name] for name in names},

@@ -1,6 +1,6 @@
 """Root data for the finite simple types, realized in exact ambient coordinates.
 
-Realizations:
+The simple roots are the only hand-entered data:
 
 * A_r lives in R^(r+1) with alpha_i = e_i - e_(i+1); the root span is the
   trace-zero hyperplane, so conversions must cope with a rank-deficient
@@ -11,8 +11,13 @@ Realizations:
   alpha_1 = e1 - e2 (short) and alpha_2 = -2e1 + e2 + e3 (long).
 * F4 lives in R^4 with the standard (Bourbaki) ordering alpha_1 = e2 - e3,
   alpha_2 = e3 - e4, alpha_3 = e4, alpha_4 = (e1 - e2 - e3 - e4)/2.
-* E8 lives in R^8; E7 and E6 are the subsystems supported on the subspaces
-  orthogonal to e7 + e8, resp. to both e6 - e7 and e7 + e8.
+* E6, E7, E8 live in R^8 and share Bourbaki's first six, seven or eight
+  simple roots of E8.
+
+Every positive root comes from the Cartan matrix: build grows them in
+integer simple-root coordinates by root strings and expands each in the
+simple roots. Classical types list e_i - e_j, then e_i + e_j, then e_i or
+2e_i; exceptional types sort by height, then coordinates.
 
 The Cartan matrix convention is C[i][j] = <alpha_j, alpha_i^vee>
 = 2(alpha_i, alpha_j)/(alpha_i, alpha_i), so the fundamental coordinates of a
@@ -73,138 +78,66 @@ class RootSystem:
         return f"{self.type_label}{self.rank}"
 
 
-def _basis_vec(dim: int, i: int, value=1) -> Vector:
-    return tuple(Fraction(value if k == i else 0) for k in range(dim))
+def _sparse(dim: int, entries: dict) -> Vector:
+    return tuple(Fraction(entries.get(k, 0)) for k in range(dim))
 
 
-def _simple_chain(dim: int, count: int) -> list[Vector]:
-    # e_i - e_(i+1) for i = 1..count
-    out = []
-    for i in range(count):
-        v = [Fraction(0)] * dim
-        v[i] = Fraction(1)
-        v[i + 1] = Fraction(-1)
-        out.append(tuple(v))
-    return out
-
-
-def _classical_roots(type_label: str, r: int):
-    if type_label == "A":
-        dim = r + 1
-        simple = _simple_chain(dim, r)
-        positive = [
-            lattice.sub(_basis_vec(dim, i), _basis_vec(dim, j))
-            for i, j in itertools.combinations(range(dim), 2)
-        ]
-        return dim, simple, positive
-
-    dim = r
-    simple = _simple_chain(dim, r - 1)
-    diffs = [
-        lattice.sub(_basis_vec(dim, i), _basis_vec(dim, j))
-        for i, j in itertools.combinations(range(dim), 2)
-    ]
-    sums = [
-        lattice.add(_basis_vec(dim, i), _basis_vec(dim, j))
-        for i, j in itertools.combinations(range(dim), 2)
-    ]
-    if type_label == "B":
-        simple.append(_basis_vec(dim, r - 1))
-        positive = diffs + sums + [_basis_vec(dim, i) for i in range(dim)]
-    elif type_label == "C":
-        simple.append(_basis_vec(dim, r - 1, 2))
-        positive = diffs + sums + [_basis_vec(dim, i, 2) for i in range(dim)]
-    else:  # D
-        simple.append(lattice.add(_basis_vec(dim, r - 2), _basis_vec(dim, r - 1)))
-        positive = diffs + sums
-    return dim, simple, positive
-
-
-def _half_vectors(dim: int):
-    # (+-1/2, ..., +-1/2) with an even number of minus signs
+def _simple_roots(type_label: str, r: int) -> tuple[int, list[Vector]]:
+    """Ambient dimension and simple roots alpha_1..alpha_r in Bourbaki's numbering."""
     half = Fraction(1, 2)
-    for signs in itertools.product((1, -1), repeat=dim):
-        if signs.count(-1) % 2 == 0:
-            yield tuple(half * s for s in signs)
-
-
-def _e8_family_roots(n: int):
-    """Full root set of E6/E7/E8 inside R^8."""
-    dim = 8
-    roots = []
-    if n == 8:
-        pair_range = range(8)
-    elif n == 7:
-        pair_range = range(6)
-    else:
-        pair_range = range(5)
-    for i, j in itertools.combinations(pair_range, 2):
-        ei, ej = _basis_vec(dim, i), _basis_vec(dim, j)
-        for u in (lattice.add(ei, ej), lattice.sub(ei, ej)):
-            roots.append(u)
-            roots.append(lattice.neg(u))
-    if n == 7:
-        u = lattice.sub(_basis_vec(dim, 6), _basis_vec(dim, 7))
-        roots.extend([u, lattice.neg(u)])
-    for v in _half_vectors(dim):
-        if n == 7 and v[6] != -v[7]:
-            continue
-        if n == 6 and not (v[5] == v[6] and v[6] == -v[7]):
-            continue
-        roots.append(v)
-    return dim, roots
-
-
-def _exceptional_roots(type_label: str):
     if type_label == "G2":
-        dim = 3
-        simple = [
-            lattice.vector((1, -1, 0)),
-            lattice.vector((-2, 1, 1)),
-        ]
-        short = [lattice.sub(_basis_vec(dim, i), _basis_vec(dim, j))
-                 for i in range(3) for j in range(3) if i != j]
-        long = []
-        for i in range(3):
-            v = [Fraction(-1)] * 3
-            v[i] = Fraction(2)
-            long.append(tuple(v))
-            long.append(tuple(-x for x in v))
-        return dim, simple, short + long
-
+        return 3, [lattice.vector((1, -1, 0)), lattice.vector((-2, 1, 1))]
     if type_label == "F4":
-        dim = 4
-        half = Fraction(1, 2)
-        simple = [
-            lattice.vector((0, 1, -1, 0)),
-            lattice.vector((0, 0, 1, -1)),
-            lattice.vector((0, 0, 0, 1)),
-            (half, -half, -half, -half),
-        ]
-        roots = []
-        for i, j in itertools.combinations(range(4), 2):
-            ei, ej = _basis_vec(dim, i), _basis_vec(dim, j)
-            for u in (lattice.add(ei, ej), lattice.sub(ei, ej)):
-                roots.extend([u, lattice.neg(u)])
-        for i in range(4):
-            roots.extend([_basis_vec(dim, i), lattice.neg(_basis_vec(dim, i))])
-        for signs in itertools.product((1, -1), repeat=4):
-            roots.append(tuple(half * s for s in signs))
-        return dim, simple, roots
+        return 4, [lattice.vector((0, 1, -1, 0)), lattice.vector((0, 0, 1, -1)),
+                   lattice.vector((0, 0, 0, 1)), (half, -half, -half, -half)]
+    if type_label in EXCEPTIONAL_RANKS:
+        # E_r: (e1 + e8 - e2 - ... - e7)/2, e1 + e2, then alpha_k = e_(k-1) - e_(k-2), k >= 3
+        simple = [(half,) + (-half,) * 6 + (half,), _sparse(8, {0: 1, 1: 1})]
+        simple += [_sparse(8, {k: -1, k + 1: 1}) for k in range(r - 2)]
+        return 8, simple
+    # e_i - e_(i+1), then e_r, 2e_r or e_(r-1) + e_r for B, C, D
+    dim = r + 1 if type_label == "A" else r
+    simple = [_sparse(dim, {k: 1, k + 1: -1}) for k in range(dim - 1)]
+    last = {"B": {r - 1: 1}, "C": {r - 1: 2}, "D": {r - 2: 1, r - 1: 1}}
+    if type_label in last:
+        simple.append(_sparse(dim, last[type_label]))
+    return dim, simple
 
-    # E family; simple roots shared with E8, truncated to the first n
-    n = EXCEPTIONAL_RANKS[type_label]
-    dim, roots = _e8_family_roots(n)
-    half = Fraction(1, 2)
-    # (e1 + e8 - e2 - e3 - e4 - e5 - e6 - e7)/2 read in e1..e8 coordinates
-    alpha1 = tuple([half] + [-half] * 6 + [half])
-    simple = [alpha1, lattice.vector((1, 1, 0, 0, 0, 0, 0, 0))]
-    for i in range(n - 2):
-        v = [Fraction(0)] * 8
-        v[i] = Fraction(-1)
-        v[i + 1] = Fraction(1)
-        simple.append(tuple(v))
-    return dim, simple, roots
+
+def _positive_coords(cartan, limit: int, name: str) -> list[tuple[int, ...]]:
+    """Positive roots in simple-root coordinates, grown height by height.
+
+    beta + alpha_i is a root exactly when the alpha_i-string through beta,
+    beta - p alpha_i, ..., beta + q alpha_i, has q = p - <beta, alpha_i^vee> > 0
+    (Humphreys, Lie Algebras, 9.4). Every beta - k alpha_i is lower than beta,
+    so p is read off the roots found so far.
+    """
+    rank = len(cartan)
+    layer = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    found = dict.fromkeys(layer)  # insertion-ordered: by height, then discovery
+    while layer:
+        taller = []
+        for beta in layer:
+            for i, row in enumerate(cartan):
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if up in found:
+                    continue
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in found:
+                    p += 1
+                if p > sum(c * b for c, b in zip(row, beta)):
+                    found[up] = None
+                    taller.append(up)
+        if len(found) > limit:
+            raise RuntimeError(f"{name}: more than {limit} positive roots")
+        layer = taller
+    return list(found)
+
+
+def _classical_order(root: Vector):
+    # e_i - e_j, then e_i + e_j, then e_i or 2e_i, each by (i, j)
+    support = [k for k, x in enumerate(root) if x]
+    return (min(root) >= 0) + (len(support) == 1), support
 
 
 def _expand(coords: Vector, basis) -> Vector:
@@ -225,87 +158,54 @@ def build(type_label: str, rank: int) -> RootSystem:
         minimum = {"A": 1, "B": 2, "C": 3, "D": 4}[type_label]
         if rank < minimum:
             raise UnsupportedRank(f"type {type_label} requires rank >= {minimum}, got {rank}")
-        dim, simple, positive = _classical_roots(type_label, rank)
-        candidates = None
         name = f"{type_label}{rank}"
     elif type_label in EXCEPTIONAL_RANKS:
         if rank != EXCEPTIONAL_RANKS[type_label]:
             raise UnsupportedRank(
                 f"type {type_label} has rank {EXCEPTIONAL_RANKS[type_label]}, got {rank}")
-        dim, simple, candidates = _exceptional_roots(type_label)
-        positive = None
         name = type_label
     else:
         raise UnsupportedRank(f"unknown type {type_label!r}")
+    dim, simple = _simple_roots(type_label, rank)
 
     coroots = tuple(lattice.scale(2 / lattice.dot(a, a), a) for a in simple)
     entries = [[lattice.dot(aj, coroot) for aj in simple] for coroot in coroots]
     if any(x.denominator != 1 for row in entries for x in row):
         raise RuntimeError(f"{name}: non-integral Cartan entry")
     cartan = tuple(tuple(int(x) for x in row) for row in entries)
-    inverse_cartan = lattice.invert(entries)
-
-    def root_coords(root: Vector) -> Vector:
-        coords = lattice.mat_vec(inverse_cartan, tuple(lattice.dot(root, v) for v in coroots))
-        if _expand(coords, simple) != root:
-            raise RuntimeError(f"{name}: root outside simple-root span")
-        return coords
-
-    if positive is None:
-        # split the full root set into halves by simple-root coordinate sign
-        pairs = []
-        negative = 0
-        for root in candidates:
-            coords = root_coords(root)
-            if all(c >= 0 for c in coords):
-                pairs.append((root, coords))
-            else:
-                if not all(c <= 0 for c in coords):
-                    raise RuntimeError(f"{name}: root with mixed coordinate signs")
-                negative += 1
-        if negative != len(pairs):
-            raise RuntimeError(f"{name}: root set is not symmetric")
-        pairs.sort(key=lambda pair: (sum(pair[1]), pair[1]))
-    else:
-        pairs = [(root, root_coords(root)) for root in positive]
-    positive = [root for root, _ in pairs]
 
     expected = _POSITIVE_COUNT[type_label](rank)
-    if len(positive) != expected:
-        raise RuntimeError(f"{name}: {len(positive)} positive roots, expected {expected}")
+    coords = _positive_coords(cartan, expected, name)
+    if len(coords) != expected:
+        raise RuntimeError(f"{name}: {len(coords)} positive roots, expected {expected}")
+    pairs = [(c, _expand(c, simple)) for c in coords]
+    if type_label in EXCEPTIONAL_RANKS:
+        pairs.sort(key=lambda pair: (sum(pair[0]), pair[0]))
+    else:
+        pairs.sort(key=lambda pair: _classical_order(pair[1]))
 
-    if any(c.denominator != 1 or c < 0 for _, coords in pairs for c in coords):
-        raise RuntimeError(f"{name}: non-integral root coordinates")
-    alpha_coords = tuple(tuple(int(c) for c in coords) for _, coords in pairs)
-
-    # omega_i = sum_j C^-1[j][i] alpha_j gives <omega_i, alpha_k^vee> = delta_ik
+    # omega_i = sum_j C^-1[j][i] alpha_j gives <omega_i, alpha_k^vee> = delta_ik,
+    # so rho = sum_i omega_i, in simple-root coordinates the row sums of C^-1,
+    # must be half the sum of the positive roots
+    inverse_cartan = lattice.invert(entries)
     fundamental = tuple(_expand(col, simple) for col in lattice.transpose(inverse_cartan))
-
-    rho_half_sum = lattice.scale(Fraction(1, 2),
-                                 _expand((Fraction(1),) * len(positive), positive))
-    rho_weights = _expand((Fraction(1),) * rank, fundamental)
-    if rho_half_sum != rho_weights:
+    rho_coords = tuple(sum(row) for row in inverse_cartan)
+    if any(Fraction(sum(c[j] for c in coords), 2) != rho_coords[j] for j in range(rank)):
         raise RuntimeError(f"{name}: rho computed two ways disagrees")
 
-    rs = RootSystem(
+    return RootSystem(
         type_label=type_label,
         rank=rank,
         ambient_dim=dim,
         simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
+        positive_roots=tuple(root for _, root in pairs),
         fundamental_weights=fundamental,
-        rho=rho_weights,
+        rho=_expand(rho_coords, simple),
         cartan_matrix=cartan,
-        positive_root_alpha_coords=alpha_coords,
+        positive_root_alpha_coords=tuple(c for c, _ in pairs),
         inverse_cartan=inverse_cartan,
         simple_coroots=coroots,
     )
-
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            if rs.coroot_pairing(fundamental[i - 1], j) != (1 if i == j else 0):
-                raise RuntimeError(f"{name}: weight/coroot duality broken")
-    return rs
 
 
 def to_simple_root_coords(w: Vector, rs: RootSystem) -> Vector:

@@ -163,6 +163,18 @@ def test_max_rank_must_be_nonnegative(capsys):
     assert "--max-rank must be nonnegative, got -3" in captured.err
 
 
+@pytest.mark.parametrize("suite", ["fibonacci", "qmult", "charB", "nonzero-mu", "all"])
+@pytest.mark.parametrize("max_rank", ["0", "1"])
+def test_max_rank_below_smallest_rank_is_usage_error(suite, max_rank, capsys):
+    # these suites sweep ranks 2..max_rank; an empty sweep must not pass silently
+    assert main(["verify", suite, "--max-rank", max_rank]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = "fibonacci" if suite == "all" else suite
+    assert (f"error: suite {name} runs no check at --max-rank {max_rank}; "
+            "its smallest rank is 2") in captured.err
+
+
 # === removed flags ===
 
 def test_cache_file_flag_is_gone(tmp_path, capsys):
@@ -215,6 +227,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("roots_E6_6", ["roots", "E6", "6"]),
     ("roots_F4_4", ["roots", "F4", "4"]),
     ("roots_A_3", ["roots", "A", "3"]),
+    ("roots_B_4", ["roots", "B", "4"]),
+    ("roots_C_4", ["roots", "C", "4"]),
+    ("roots_D_5", ["roots", "D", "5"]),
 ])
 def test_json_output_matches_golden(name, argv, monkeypatch, capsys):
     # byte for byte, apart from the elapsed_ms field

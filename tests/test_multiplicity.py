@@ -16,7 +16,7 @@ from weylalt.multiplicity import (_survivor_terms, alternation_set,
 from weylalt.rootsystem import (build, dominant_integral_weights_in_box,
                                 fundamental_weight, highest_root,
                                 sum_of_simple_roots, to_simple_root_coords)
-from weylalt.weyl import enumerate_group, generators, group_order
+from weylalt.weyl import WeylElement, enumerate_group, generators, group_order
 
 
 def zero_of(rs):
@@ -341,3 +341,34 @@ def test_sum_of_simple_roots_alternation_counts(label, rank, expected):
     lam, cap = sum_of_simple_roots(rs), group_order(rs)
     assert len(alternation_set(lam, zero_of(rs), rs, cap)) == expected
     assert q_multiplicity(lam, zero_of(rs), rs, cap) == QPolynomial.zero()
+
+
+@pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                         ("G2", 2), ("F4", 4), ("E6", 6),
+                                         ("E7", 7), ("E8", 8)])
+def test_singular_lambda_plus_rho_gives_zero(label, rank):
+    # lam + rho = w(nu) with nu dominant and <nu, alpha_i^vee> = 0 for some i is
+    # fixed by the reflection w s_i w^-1, which pairs off the terms of the
+    # alternating sum: q_multiplicity is the zero polynomial for every mu.
+    # E7 and E8 keep w = e, so the walk stays pruned.
+    rs = build(label, rank)
+    rng = random.Random(f"{label}{rank}")
+    pruned = label in ("E7", "E8")
+    cap = group_order(rs)
+    nonempty = 0
+    for _ in range(4):
+        coeffs = [rng.randint(0, 2) for _ in range(rank)]
+        coeffs[rng.randrange(rank)] = 0
+        nu = lattice.zeros(rs.ambient_dim)
+        for c, omega in zip(coeffs, rs.fundamental_weights):
+            nu = lattice.add(nu, lattice.scale(c, omega))
+        if not pruned:
+            word = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
+            nu = WeylElement(word, rs).act(nu)
+        lam = lattice.sub(nu, rs.rho)
+        mu = lam
+        for alpha in rs.simple_roots:
+            mu = lattice.sub(mu, lattice.scale(rng.randint(0, 2), alpha))
+        nonempty += bool(alternation_set(lam, mu, rs, cap))
+        assert q_multiplicity(lam, mu, rs, cap) == QPolynomial.zero()
+    assert nonempty  # some alternating sum had terms to cancel

@@ -1,5 +1,6 @@
 """Root system realizations: roots, weights, rho, coordinate changes."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -160,54 +161,97 @@ def test_to_simple_root_coords_rejects_off_span():
         to_simple_root_coords(lattice.vector([1, 0, 0]), build("A", 2))  # nonzero coordinate sum
 
 
-def _replace(roots, old, new):
-    return [new if r == old else r for r in roots]
-
-
-# Each edit breaks one realization the way a wrong root table would;
-# build must refuse it with the matching RuntimeError.
-@pytest.mark.parametrize("label, rank, source, edit, message", [
-    ("E8", 8, "_exceptional_roots",
-     lambda dim, simple, roots: (dim, simple, roots + [lattice.sub(simple[0], simple[1])]),
-     "E8: root with mixed coordinate signs"),
-    ("E6", 6, "_exceptional_roots",
-     lambda dim, simple, roots: (dim, simple, [r for r in roots if r != lattice.neg(simple[0])]),
-     "E6: root set is not symmetric"),
-    ("F4", 4, "_exceptional_roots",
-     lambda dim, simple, roots: (dim, simple, [r for r in roots
-                                               if r not in (simple[0], lattice.neg(simple[0]))]),
-     "F4: 23 positive roots, expected 24"),
-    ("B", 3, "_classical_roots",
-     lambda dim, simple, positive: (dim, simple, positive[1:]),
-     "B3: 8 positive roots, expected 9"),
-    ("E7", 7, "_exceptional_roots",
-     lambda dim, simple, roots: (dim, simple, roots + [lattice.vector([0] * 6 + [1, 1])]),
-     "E7: root outside simple-root span"),
-    ("A", 3, "_classical_roots",
-     lambda dim, simple, positive: (dim, simple, _replace(positive, positive[0],
-                                                          lattice.vector([1, 0, 0, 0]))),
-     "A3: root outside simple-root span"),
-    ("C", 3, "_classical_roots",
-     lambda dim, simple, positive: (dim, simple, _replace(positive, lattice.vector([2, 0, 0]),
-                                                          lattice.vector([1, 0, 0]))),
-     "C3: non-integral root coordinates"),
-    ("D", 4, "_classical_roots",
-     lambda dim, simple, positive: (dim, simple, _replace(positive, positive[0],
-                                                          lattice.neg(positive[0]))),
-     "D4: non-integral root coordinates"),
-    ("G2", 2, "_exceptional_roots",
-     lambda dim, simple, roots: (dim, [simple[0], lattice.scale(2, simple[1])], roots),
-     "G2: non-integral Cartan entry"),
-    ("B", 2, "_classical_roots",
-     lambda dim, simple, positive: (dim, simple, _replace(positive, lattice.vector([1, 1]),
-                                                          lattice.vector([2, -2]))),
-     "B2: rho computed two ways disagrees"),
+# Each edit replaces the simple roots, the one input build reads, by a set
+# that breaks one check; build must refuse it with the matching RuntimeError.
+@pytest.mark.parametrize("label, rank, edit, message", [
+    pytest.param("G2", 2, lambda dim, simple: (dim, [simple[0], lattice.scale(2, simple[1])]),
+                 "G2: non-integral Cartan entry", id="G2-doubled-long-root"),
+    # the affine A2 diagram: the closure never stops
+    pytest.param("A", 3, lambda dim, simple: (3, [lattice.vector(v) for v in
+                                                  ((1, -1, 0), (0, 1, -1), (-1, 0, 1))]),
+                 "A3: more than 6 positive roots", id="A3-affine-A2"),
+    # a finite type with more roots than expected: B4 in place of D4
+    pytest.param("D", 4, lambda dim, simple: (dim, simple[:3] + [lattice.vector((0, 0, 0, 1))]),
+                 "D4: more than 12 positive roots", id="D4-given-B4"),
+    # a finite type with fewer roots than expected: D3 = A3 in place of B3
+    pytest.param("B", 3, lambda dim, simple: (dim, simple[:2] + [lattice.vector((0, 1, 1))]),
+                 "B3: 6 positive roots, expected 9", id="B3-given-D3"),
+    # e2 pairs positively with e2 - e3: a nonsingular integral Cartan matrix,
+    # not of finite type, whose closure stops at six roots, the A3 count
+    pytest.param("A", 3, lambda dim, simple: (3, [lattice.vector(v) for v in
+                                                  ((1, -1, 0), (0, 1, -1), (0, 1, 0))]),
+                 "A3: rho computed two ways disagrees", id="A3-positive-pairing"),
 ])
-def test_build_rejects_broken_realizations(label, rank, source, edit, message, monkeypatch):
-    original = getattr(rootsystem, source)
-    monkeypatch.setattr(rootsystem, source, lambda *args: edit(*original(*args)))
+def test_build_rejects_broken_realizations(label, rank, edit, message, monkeypatch):
+    original = rootsystem._simple_roots
+    monkeypatch.setattr(rootsystem, "_simple_roots", lambda *args: edit(*original(*args)))
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         build.__wrapped__(label, rank)
+
+
+# Bourbaki's ambient root tables (Plates I-IX), which build no longer reads:
+# an oracle for the root-string closure that reads only the simple roots.
+TABLE_SYSTEMS = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+                 + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
+                 + [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)])
+
+
+def _unit(dim, i, value=1):
+    return lattice.vector([value if k == i else 0 for k in range(dim)])
+
+
+def _classical_positive_roots(label, r):
+    """e_i - e_j, then e_i + e_j (B, C, D), then e_i (B) or 2e_i (C), i < j."""
+    dim = r + 1 if label == "A" else r
+    pairs = list(itertools.combinations(range(dim), 2))
+    roots = [lattice.sub(_unit(dim, i), _unit(dim, j)) for i, j in pairs]
+    if label != "A":
+        roots += [lattice.add(_unit(dim, i), _unit(dim, j)) for i, j in pairs]
+    if label in ("B", "C"):
+        roots += [_unit(dim, i, 1 if label == "B" else 2) for i in range(dim)]
+    return roots
+
+
+def _signed_pair_roots(dim, count):
+    # +-e_i +- e_j for i < j < count
+    roots = []
+    for i, j in itertools.combinations(range(count), 2):
+        for u in (lattice.add(_unit(dim, i), _unit(dim, j)),
+                  lattice.sub(_unit(dim, i), _unit(dim, j))):
+            roots += [u, lattice.neg(u)]
+    return roots
+
+
+def _exceptional_roots(label):
+    """Every root, positive and negative, in build's ambient coordinates."""
+    half = Fraction(1, 2)
+    if label == "G2":
+        short = [lattice.sub(_unit(3, i), _unit(3, j))
+                 for i in range(3) for j in range(3) if i != j]
+        long = [lattice.vector([2 if k == i else -1 for k in range(3)]) for i in range(3)]
+        return short + long + [lattice.neg(v) for v in long]
+    if label == "F4":
+        return (_signed_pair_roots(4, 4)
+                + [lattice.scale(s, _unit(4, i)) for i in range(4) for s in (1, -1)]
+                + [tuple(half * s for s in signs)
+                   for signs in itertools.product((1, -1), repeat=4)])
+    e8 = _signed_pair_roots(8, 8) + [
+        tuple(half * s for s in signs)
+        for signs in itertools.product((1, -1), repeat=8) if signs.count(-1) % 2 == 0]
+    # E7 is orthogonal to e7 + e8 inside E8, and E6 to e6 - e7 as well
+    walls = {"E8": [], "E7": [(6, 7, 1)], "E6": [(6, 7, 1), (5, 6, -1)]}[label]
+    return [v for v in e8 if all(v[i] + sign * v[j] == 0 for i, j, sign in walls)]
+
+
+@pytest.mark.parametrize("label, rank", TABLE_SYSTEMS)
+def test_positive_roots_match_bourbaki_tables(label, rank):
+    rs = build(label, rank)
+    if label in rootsystem.EXCEPTIONAL_RANKS:
+        roots = _exceptional_roots(label)
+        assert 2 * len(rs.positive_roots) == len(roots)
+        assert set(rs.positive_roots) | {lattice.neg(a) for a in rs.positive_roots} == set(roots)
+    else:
+        assert list(rs.positive_roots) == _classical_positive_roots(label, rank)
 
 
 @pytest.mark.parametrize("label, rank", [("A", 2), ("B", 3), ("C", 3),
