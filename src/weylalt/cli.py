@@ -28,7 +28,7 @@ from .multiplicity import (alternating_sum, alternation_set,
                            predicted_count_by_length_B, predicted_pq_B,
                            q_multiplicity, q_multiplicity_terms,
                            weight_diagram)
-from .rootsystem import (build, dominant_integral_weights_in_box,
+from .rootsystem import (TYPES, build, dominant_integral_weights_in_box,
                          fundamental_weight, highest_root, is_dominant,
                          sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
@@ -219,7 +219,10 @@ def parse_weight(text: str, rs) -> lattice.Vector:
         elif m.group("index") is not None:
             term = fundamental_weight(rs, int(m.group("index")))
         else:
-            parts = [Fraction(p) for p in m.group("coords").split(",")]
+            try:
+                parts = [Fraction(p) for p in m.group("coords").split(",")]
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {body!r}") from None
             if len(parts) != rs.ambient_dim:
                 raise ValueError(f"eps: needs {rs.ambient_dim} coordinates "
                                  f"for {rs}, got {len(parts)}")
@@ -434,11 +437,9 @@ def _expected_sum_simple_fc(label: str, r: int) -> tuple:
 
 
 def suite_dominance(max_rank: int, cap: int, seed: int) -> list:
-    systems = [("A", r) for r in range(1, max_rank + 1)]
-    systems += [("B", r) for r in range(2, max_rank + 1)]
-    systems += [("C", r) for r in range(3, max_rank + 1)]
-    systems += [("D", r) for r in range(4, max_rank + 1)]
-    systems += [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)]
+    # A-D from their smallest rank up to max_rank, then G2-E8 at their own
+    systems = [(label, r) for label, (smallest, _, _) in TYPES.items()
+               for r in ([smallest] if len(label) > 1 else range(smallest, max_rank + 1))]
     checks = []
     for label, r in systems:
         rs = build(label, r)

@@ -6,8 +6,8 @@ object (build hands out one per type and rank) over a box [0, top] in
 simple-root coordinates, filled by one unbounded-knapsack pass per positive
 root with each polynomial packed into a single int (see BoxTable); a lookup
 outside the box builds a new table.
-Two independent routes are kept as oracles and never merged with it: the
-recursion over a permuted root list (partition_q with root_order) and
+Two independent routes are kept as oracles and never merged with it:
+partition_q_recursive, a recursion over a permuted root list, and
 partition_q_bruteforce, an exhaustive search with no memo.
 """
 
@@ -333,29 +333,32 @@ def partition_q_alpha(coords: Sequence[int], rs: RootSystem) -> QPolynomial:
     return _table_lookup(coords, rs)
 
 
-def partition_q(xi: Vector, rs: RootSystem,
-                root_order: Sequence[int] | None = None) -> QPolynomial:
-    """q-analog of the Kostant partition function of an ambient vector.
-
-    Vectors outside the nonnegative integer span come back as the zero
-    polynomial. root_order permutes the root list of the recursion oracle
-    (the result must not depend on it); with it, the value comes from that
-    recursion instead of the box table.
-    """
+def partition_q(xi: Vector, rs: RootSystem) -> QPolynomial:
+    """q-analog of the Kostant partition function of an ambient vector; the
+    zero polynomial outside the nonnegative integer span of the roots."""
     coords = _validated_alpha_coords(xi, rs)
     if coords is None:
         return QPolynomial.zero()
-    if root_order is not None:
-        roots = tuple(rs.positive_root_alpha_coords[i] for i in root_order)
-        if sorted(roots) != sorted(rs.positive_root_alpha_coords):
-            raise ValueError("root_order must be a permutation of the positive roots")
-        return QPolynomial(_recurse(coords, 0, roots, {}))
     return partition_q_alpha(coords, rs)
 
 
 def partition(xi: Vector, rs: RootSystem) -> int:
     """Plain Kostant partition function: P_q evaluated at q = 1."""
     return partition_q(xi, rs).evaluate(1)
+
+
+def partition_q_recursive(xi: Vector, rs: RootSystem,
+                          root_order: Sequence[int]) -> QPolynomial:
+    """Independent oracle: the memoized recursion over the positive roots in
+    root_order, a permutation of their indices (ValueError otherwise). Same
+    contract as partition_q, whose value must not depend on the order."""
+    coords = _validated_alpha_coords(xi, rs)
+    if coords is None:
+        return QPolynomial.zero()
+    roots = tuple(rs.positive_root_alpha_coords[i] for i in root_order)
+    if sorted(roots) != sorted(rs.positive_root_alpha_coords):
+        raise ValueError("root_order must be a permutation of the positive roots")
+    return QPolynomial(_recurse(coords, 0, roots, {}))
 
 
 def partition_q_bruteforce(xi: Vector, rs: RootSystem) -> QPolynomial:

@@ -32,23 +32,25 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from . import lattice
 from .errors import NotInRootSpan, UnsupportedRank
 from .lattice import Matrix, Vector
 
-EXCEPTIONAL_RANKS = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
-
-_POSITIVE_COUNT = {
-    "A": lambda r: r * (r + 1) // 2,
-    "B": lambda r: r * r,
-    "C": lambda r: r * r,
-    "D": lambda r: r * (r - 1),
-    "G2": lambda r: 6,
-    "F4": lambda r: 24,
-    "E6": lambda r: 36,
-    "E7": lambda r: 63,
-    "E8": lambda r: 120,
+# The supported types, one row each: the smallest rank of A-D, or the only
+# rank of G2-E8 (the two-character labels, which name it), then |Phi+| and
+# |W| as functions of the rank.
+TYPES = {
+    "A": (1, lambda r: r * (r + 1) // 2, lambda r: factorial(r + 1)),
+    "B": (2, lambda r: r * r, lambda r: 2**r * factorial(r)),
+    "C": (3, lambda r: r * r, lambda r: 2**r * factorial(r)),
+    "D": (4, lambda r: r * (r - 1), lambda r: 2 ** (r - 1) * factorial(r)),
+    "G2": (2, lambda r: 6, lambda r: 12),
+    "F4": (4, lambda r: 24, lambda r: 1152),
+    "E6": (6, lambda r: 36, lambda r: 51840),
+    "E7": (7, lambda r: 63, lambda r: 2903040),
+    "E8": (8, lambda r: 120, lambda r: 696729600),
 }
 
 
@@ -73,9 +75,11 @@ class RootSystem:
         return lattice.dot(w, self.simple_coroots[i - 1])
 
     def __str__(self) -> str:
-        if self.type_label in EXCEPTIONAL_RANKS:
-            return self.type_label
-        return f"{self.type_label}{self.rank}"
+        return _name(self.type_label, self.rank)
+
+
+def _name(type_label: str, rank: int) -> str:
+    return type_label if len(type_label) > 1 else f"{type_label}{rank}"
 
 
 def _sparse(dim: int, entries: dict) -> Vector:
@@ -90,7 +94,7 @@ def _simple_roots(type_label: str, r: int) -> tuple[int, list[Vector]]:
     if type_label == "F4":
         return 4, [lattice.vector((0, 1, -1, 0)), lattice.vector((0, 0, 1, -1)),
                    lattice.vector((0, 0, 0, 1)), (half, -half, -half, -half)]
-    if type_label in EXCEPTIONAL_RANKS:
+    if type_label[0] == "E":
         # E_r: (e1 + e8 - e2 - ... - e7)/2, e1 + e2, then alpha_k = e_(k-1) - e_(k-2), k >= 3
         simple = [(half,) + (-half,) * 6 + (half,), _sparse(8, {0: 1, 1: 1})]
         simple += [_sparse(8, {k: -1, k + 1: 1}) for k in range(r - 2)]
@@ -150,22 +154,19 @@ def _expand(coords: Vector, basis) -> Vector:
 def build(type_label: str, rank: int) -> RootSystem:
     """Construct and validate the root system of the given type and rank.
 
-    Validity windows: A_r r>=1, B_r r>=2, C_r r>=3, D_r r>=4, and the five
-    exceptional types at their fixed ranks. Raises UnsupportedRank otherwise.
+    The rank windows are those of TYPES; UnsupportedRank outside them. Every
+    case of a label returns the one cached object of its upper-case form.
     """
-    type_label = type_label.upper()
-    if type_label in ("A", "B", "C", "D"):
-        minimum = {"A": 1, "B": 2, "C": 3, "D": 4}[type_label]
-        if rank < minimum:
-            raise UnsupportedRank(f"type {type_label} requires rank >= {minimum}, got {rank}")
-        name = f"{type_label}{rank}"
-    elif type_label in EXCEPTIONAL_RANKS:
-        if rank != EXCEPTIONAL_RANKS[type_label]:
-            raise UnsupportedRank(
-                f"type {type_label} has rank {EXCEPTIONAL_RANKS[type_label]}, got {rank}")
-        name = type_label
-    else:
+    if type_label != type_label.upper():
+        return build(type_label.upper(), rank)
+    if type_label not in TYPES:
         raise UnsupportedRank(f"unknown type {type_label!r}")
+    smallest, positive_count, _ = TYPES[type_label]
+    if len(type_label) > 1 and rank != smallest:
+        raise UnsupportedRank(f"type {type_label} has rank {smallest}, got {rank}")
+    if rank < smallest:
+        raise UnsupportedRank(f"type {type_label} requires rank >= {smallest}, got {rank}")
+    name = _name(type_label, rank)
     dim, simple = _simple_roots(type_label, rank)
 
     coroots = tuple(lattice.scale(2 / lattice.dot(a, a), a) for a in simple)
@@ -174,12 +175,12 @@ def build(type_label: str, rank: int) -> RootSystem:
         raise RuntimeError(f"{name}: non-integral Cartan entry")
     cartan = tuple(tuple(int(x) for x in row) for row in entries)
 
-    expected = _POSITIVE_COUNT[type_label](rank)
+    expected = positive_count(rank)
     coords = _positive_coords(cartan, expected, name)
     if len(coords) != expected:
         raise RuntimeError(f"{name}: {len(coords)} positive roots, expected {expected}")
     pairs = [(c, _expand(c, simple)) for c in coords]
-    if type_label in EXCEPTIONAL_RANKS:
+    if len(type_label) > 1:
         pairs.sort(key=lambda pair: (sum(pair[0]), pair[0]))
     else:
         pairs.sort(key=lambda pair: _classical_order(pair[1]))
@@ -208,25 +209,26 @@ def build(type_label: str, rank: int) -> RootSystem:
     )
 
 
-def to_simple_root_coords(w: Vector, rs: RootSystem) -> Vector:
-    """Coordinates of w in the simple-root basis; NotInRootSpan if w is outside."""
+def _coords(w: Vector, rs: RootSystem) -> tuple[Vector, Vector]:
+    """Coroot pairings and simple-root coordinates of w, which must be in the
+    root span; the pairings are its fundamental coordinates."""
     if len(w) != rs.ambient_dim:
         raise ValueError(f"expected {rs.ambient_dim} coordinates, got {len(w)}")
-    coords = lattice.mat_vec(rs.inverse_cartan,
-                             tuple(lattice.dot(w, v) for v in rs.simple_coroots))
+    pairings = tuple(lattice.dot(w, v) for v in rs.simple_coroots)
+    coords = lattice.mat_vec(rs.inverse_cartan, pairings)
     if _expand(coords, rs.simple_roots) != w:
         raise NotInRootSpan(f"{w} is not in the span of the simple roots of {rs}")
-    return coords
+    return pairings, coords
+
+
+def to_simple_root_coords(w: Vector, rs: RootSystem) -> Vector:
+    """Coordinates of w in the simple-root basis; NotInRootSpan if w is outside."""
+    return _coords(w, rs)[1]
 
 
 def to_fundamental_coords(w: Vector, rs: RootSystem) -> Vector:
     """Coordinates of w in the fundamental-weight basis; NotInRootSpan outside the span."""
-    if len(w) != rs.ambient_dim:
-        raise ValueError(f"expected {rs.ambient_dim} coordinates, got {len(w)}")
-    coords = tuple(rs.coroot_pairing(w, i) for i in range(1, rs.rank + 1))
-    if _expand(coords, rs.fundamental_weights) != w:
-        raise NotInRootSpan(f"{w} is not in the span of the simple roots of {rs}")
-    return coords
+    return _coords(w, rs)[0]
 
 
 def is_dominant(w: Vector, rs: RootSystem) -> bool:

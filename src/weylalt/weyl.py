@@ -10,14 +10,13 @@ oracle for the weak-order walk that finds alternation sets.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import lattice
 from .errors import CapExceeded
 from .lattice import Vector
-from .rootsystem import RootSystem
+from .rootsystem import TYPES, RootSystem
 
 DEFAULT_CAP = 2_000_000
 
@@ -63,18 +62,8 @@ class WeylElement:
 
 
 def group_order(rs: RootSystem) -> int:
-    r = rs.rank
-    return {
-        "A": math.factorial(r + 1),
-        "B": 2**r * math.factorial(r),
-        "C": 2**r * math.factorial(r),
-        "D": 2 ** (r - 1) * math.factorial(r),
-        "G2": 12,
-        "F4": 1152,
-        "E6": 51840,
-        "E7": 2903040,
-        "E8": 696729600,
-    }[rs.type_label]
+    _, _, order = TYPES[rs.type_label]
+    return order(rs.rank)
 
 
 def check_cap(rs: RootSystem, cap: int) -> None:

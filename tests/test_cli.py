@@ -36,7 +36,7 @@ def test_parse_weight(text, expected):
 
 @pytest.mark.parametrize("text", [
     "", "w0", "w4", "q", "w1w2", "2w1", "eps:1,2", "eps:1,,2", "eps:",
-    "w1+", "+-w1", "eps:1,0,0.5",
+    "w1+", "+-w1", "eps:1,0,0.5", "eps:1/0,0,0",
 ])
 def test_parse_weight_rejects(text):
     rs = build("B", 3)
@@ -104,6 +104,7 @@ def test_exit_usage_on_bad_rank(capsys):
 def test_exit_usage_on_bad_weight(capsys):
     assert main(["weyl-alt", "B", "3", "--lam", "w9"]) == EXIT_USAGE
     assert main(["weyl-alt", "B", "3", "--lam", "eps:1,2"]) == EXIT_USAGE
+    assert main(["mult", "A", "2", "--lam", "eps:1/0,0,0"]) == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -230,6 +231,13 @@ GOLDEN = Path(__file__).parent / "golden"
     ("roots_B_4", ["roots", "B", "4"]),
     ("roots_C_4", ["roots", "C", "4"]),
     ("roots_D_5", ["roots", "D", "5"]),
+    ("weyl-alt_G2_2_sum-simple", ["weyl-alt", "G2", "2", "--lam", "sum-simple"]),
+    ("weyl-alt_F4_4_sum-simple", ["weyl-alt", "F4", "4", "--lam", "sum-simple"]),
+    ("weyl-alt_E6_6_sum-simple", ["weyl-alt", "E6", "6", "--lam", "sum-simple"]),
+    ("weyl-alt_E7_7_sum-simple", ["weyl-alt", "E7", "7", "--lam", "sum-simple",
+                                  "--cap", "2903040"]),
+    ("weyl-alt_E8_8_sum-simple", ["weyl-alt", "E8", "8", "--lam", "sum-simple",
+                                  "--cap", "696729600"]),
 ])
 def test_json_output_matches_golden(name, argv, monkeypatch, capsys):
     # byte for byte, apart from the elapsed_ms field

@@ -10,7 +10,8 @@ import pytest
 from weylalt import kostant, lattice
 from weylalt.errors import HeightExceeded
 from weylalt.kostant import (QPolynomial, partition, partition_q,
-                             partition_q_alpha, partition_q_bruteforce)
+                             partition_q_alpha, partition_q_bruteforce,
+                             partition_q_recursive)
 from weylalt.multiplicity import _survivor_terms
 from weylalt.rootsystem import build, fundamental_weight
 from weylalt.weyl import group_order
@@ -171,14 +172,14 @@ def test_partition_q_independent_of_root_order(label, rank):
         reference = partition_q(xi, rs)
         order = list(range(n))
         rng.shuffle(order)
-        assert partition_q(xi, rs, root_order=order) == reference
+        assert partition_q_recursive(xi, rs, order) == reference
 
 
 def test_partition_q_rejects_bad_root_order():
     rs = build("B", 2)
     xi = combo(rs, (1, 1))
     with pytest.raises(ValueError):
-        partition_q(xi, rs, root_order=[0, 0, 1, 2])
+        partition_q_recursive(xi, rs, [0, 0, 1, 2])
 
 
 # === per-system tables ===
@@ -201,7 +202,7 @@ NINE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
 def recursion_oracle(rs, coords):
     """P_q by the recursion over the reversed root list."""
     order = list(reversed(range(len(rs.positive_roots))))
-    return partition_q(combo(rs, coords), rs, root_order=order)
+    return partition_q_recursive(combo(rs, coords), rs, order)
 
 
 def assert_matches_oracles(rs, coords, value):
