@@ -3,9 +3,10 @@
 Root systems are realized in an ambient rational space. Weyl group elements
 are lex-least reduced words that act by simple reflections. The Kostant
 partition function and its q-analog come from one packed table per
-RootSystem object, filled by a knapsack pass per positive root, and
-multiplicities come from the alternating sum over the Weyl alternation set,
-which one integer walk of the weak order finds for every type.
+RootSystem object, which starts from q^ht(x), the simple roots' share, and
+adds a knapsack pass per other positive root. Multiplicities come from the
+alternating sum over the Weyl alternation set, which one integer walk of the
+weak order finds for every type.
 """
 
 from .errors import (CapExceeded, HeightExceeded, NotInRootSpan,

@@ -594,7 +594,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    print(report.render(args.format))
+    try:
+        print(report.render(args.format), flush=True)
+    except BrokenPipeError:
+        # The reader is gone. Point fd 1 at devnull so that the interpreter's
+        # own flush at exit does not raise again; the run's code still stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK if report.ok() else EXIT_CHECK_FAILED
 
 

@@ -3,9 +3,9 @@
 The q-analog P_q(xi) = sum_j c_j q^j counts the ways to write xi as a sum of
 exactly j positive roots. The main path is one dense table per RootSystem
 object (build hands out one per type and rank) over a box [0, top] in
-simple-root coordinates, filled by one unbounded-knapsack pass per positive
-root with each polynomial packed into a single int (see BoxTable); a lookup
-outside the box builds a new table.
+simple-root coordinates. It starts from the simple roots' closed form q^ht(x)
+and adds one unbounded-knapsack pass per other positive root, each polynomial
+packed into a single int (see BoxTable); a lookup outside it builds a new one.
 Two independent routes are kept as oracles and never merged with it:
 partition_q_recursive, a recursion over a permuted root list, and
 partition_q_bruteforce, an exhaustive search with no memo.
@@ -162,17 +162,18 @@ class QPolynomial:
 def coefficient_bound(top: Sequence[int], roots: Sequence[Sequence[int]]) -> int:
     """Bound on P(x) = P_q(x) at q = 1 for every x in the box [0, top].
 
-    A decomposition of x <= top that uses beta k times has k * beta <= top
-    coordinatewise, so k <= top_i // beta_i wherever beta_i > 0, and P(x) <=
-    prod over beta > 0 of (min over those i of top_i // beta_i + 1). Every
-    coefficient of P_q(x) is at most P(x). By the mediant inequality the
-    minimum is at most ht(top) / ht(beta), so this never exceeds the height
-    bound prod over beta > 0 of (ht(top) // ht(beta) + 1).
+    A decomposition of x <= top uses only roots beta <= top, and its
+    multiplicities write ht(x) as a sum of the heights ht(beta), one part
+    kind per root; distinct decompositions give distinct sums. So P(x), and
+    every coefficient of P_q(x), is at most the largest count of such sums
+    of some n <= ht(top), from one 1-D knapsack over [0, ht(top)].
     """
-    bound = 1
-    for beta in roots:
-        bound *= min(t // b for t, b in zip(top, beta) if b) + 1
-    return bound
+    height = sum(top)
+    counts = [1] + [0] * height
+    for h in (sum(beta) for beta in roots if all(map(le, beta, top))):
+        for n in range(h, height + 1):
+            counts[n] += counts[n - h]
+    return max(counts)
 
 
 class BoxTable:
@@ -180,8 +181,8 @@ class BoxTable:
 
     Cell x sits at flat index sum(x_i * strides_i) (row-major) and holds
     P_q(x) packed as one int, coefficient j in bits [j*bits, (j+1)*bits)
-    (Kronecker substitution). bits comes from coefficient_bound, so no packed
-    digit ever carries into the next. Cells are decoded to QPolynomial on
+    (Kronecker substitution). bits comes from coefficient_bound's count of
+    height sums, so no digit carries. Cells are decoded to QPolynomial on
     their first lookup. Only that decoded list changes after construction,
     and each write stores a value equal to any other write to the same cell.
     """
@@ -199,31 +200,34 @@ class BoxTable:
         self.decoded: list[QPolynomial | None] = [None] * len(self.packed)
 
     def _fill(self, roots) -> list[int]:
-        """One unbounded-knapsack pass per positive root beta:
+        """Start at q^ht(x), the one decomposition of x into simple roots,
+        then run one unbounded-knapsack pass per other positive root beta:
         t[x] += t[x - beta] * q, in increasing flat index over [beta, top]."""
         top, strides, bits = self.top, self.strides, self.bits
-        table = [0] * (strides[0] * (top[0] + 1))
-        table[0] = 1
+        heights = [0]
+        for t in top:
+            heights = [h + x for h in heights for x in range(t + 1)]
+        powers = [1 << (bits * h) for h in range(sum(top) + 1)]
+        table = [powers[h] for h in heights]
         for beta in roots:
-            if any(b > t for b, t in zip(beta, top)):
+            if sum(beta) == 1 or any(b > t for b, t in zip(beta, top)):
                 continue
             offset = sum(b * s for b, s in zip(beta, strides))
             # Coordinates after the last nonzero one, k, are free, so for each
             # prefix x_0..x_(k-1) the cells with x_k in [beta_k, top_k] form one
-            # contiguous run; its sources lie offset cells back, so a chunk of
-            # at most offset cells reads only cells already final in this pass.
+            # contiguous run. A non-simple root is nonzero before k too, so
+            # every source x - beta has a smaller prefix: it lies in an earlier
+            # run or in none, and is final in this pass when the run reads it.
             k = max(i for i, b in enumerate(beta) if b)
             starts = [beta[k] * strides[k]]
             for i in range(k):
                 starts = [s + x * strides[i]
                           for s in starts for x in range(beta[i], top[i] + 1)]
             run = (top[k] - beta[k] + 1) * strides[k]
-            for start in starts:
-                end = start + run
-                for lo in range(start, end, offset):
-                    hi = min(lo + offset, end)
-                    table[lo:hi] = [x + (y << bits) for x, y in
-                                    zip(table[lo:hi], table[lo - offset:hi - offset])]
+            for lo in starts:
+                hi = lo + run
+                table[lo:hi] = [x + (y << bits) for x, y in
+                                zip(table[lo:hi], table[lo - offset:hi - offset])]
         return table
 
     def __len__(self) -> int:
@@ -352,13 +356,13 @@ def partition_q_recursive(xi: Vector, rs: RootSystem,
     """Independent oracle: the memoized recursion over the positive roots in
     root_order, a permutation of their indices (ValueError otherwise). Same
     contract as partition_q, whose value must not depend on the order."""
+    roots = rs.positive_root_alpha_coords
+    if sorted(root_order) != list(range(len(roots))):
+        raise ValueError("root_order must be a permutation of the positive roots")
     coords = _validated_alpha_coords(xi, rs)
     if coords is None:
         return QPolynomial.zero()
-    roots = tuple(rs.positive_root_alpha_coords[i] for i in root_order)
-    if sorted(roots) != sorted(rs.positive_root_alpha_coords):
-        raise ValueError("root_order must be a permutation of the positive roots")
-    return QPolynomial(_recurse(coords, 0, roots, {}))
+    return QPolynomial(_recurse(coords, 0, tuple(roots[i] for i in root_order), {}))
 
 
 def partition_q_bruteforce(xi: Vector, rs: RootSystem) -> QPolynomial:

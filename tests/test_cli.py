@@ -1,12 +1,16 @@
 """Command line behavior: parsing, formats, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import weylalt
 from weylalt import cli, lattice
 from weylalt.cli import (EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                          Check, RunReport, main, parse_weight)
@@ -133,6 +137,39 @@ def test_exit_check_failed(monkeypatch, capsys):
     monkeypatch.setitem(cli.SUITES, "forced-failure", (failing_suite, 0))
     assert main(["verify", "forced-failure"]) == EXIT_CHECK_FAILED
     assert "FAIL" in capsys.readouterr().out
+
+
+RUN_MAIN = "import sys; from weylalt import cli; sys.exit(cli.main({argv!r}))"
+FAILING_VERIFY = """import sys
+from weylalt import cli
+cli.SUITES["forced-failure"] = (
+    lambda max_rank, cap, seed: [cli.Check("forced", "1", "2", False)], 0)
+sys.exit(cli.main(["verify", "forced-failure"]))
+"""
+
+
+@pytest.mark.parametrize("code, expected", [
+    # more than a pipe buffer: print itself meets the closed pipe
+    (RUN_MAIN.format(argv=["roots", "E8", "8"]), EXIT_OK),
+    # a few lines: only the flush meets it
+    (RUN_MAIN.format(argv=["roots", "A", "2"]), EXIT_OK),
+    (FAILING_VERIFY, EXIT_CHECK_FAILED),
+], ids=["roots-E8", "roots-A2", "failed-verify"])
+def test_closed_reader_keeps_exit_code(code, expected):
+    # the read end is closed before the child starts, so its output goes to
+    # a pipe that has no reader, as in `weylalt roots E8 8 | true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(weylalt.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    try:
+        child = subprocess.run([sys.executable, "-c", code], stdout=write_end,
+                               stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert child.stderr == b""
+    assert child.returncode == expected
 
 
 # === cap resolution ===

@@ -13,7 +13,8 @@ from weylalt.kostant import (QPolynomial, partition, partition_q,
                              partition_q_alpha, partition_q_bruteforce,
                              partition_q_recursive)
 from weylalt.multiplicity import _survivor_terms
-from weylalt.rootsystem import build, fundamental_weight
+from weylalt.rootsystem import (TYPES, build, fundamental_weight, highest_root,
+                                to_simple_root_coords)
 from weylalt.weyl import group_order
 
 
@@ -180,6 +181,11 @@ def test_partition_q_rejects_bad_root_order():
     xi = combo(rs, (1, 1))
     with pytest.raises(ValueError):
         partition_q_recursive(xi, rs, [0, 0, 1, 2])
+    # the order is checked before xi, whose P_q is trivially zero here
+    with pytest.raises(ValueError):
+        partition_q_recursive(combo(rs, (-1, 0)), rs, [0, 0, 1, 2])
+    with pytest.raises(ValueError):
+        partition_q_recursive(xi, rs, [0, 1, 2, 4])
 
 
 # === per-system tables ===
@@ -267,13 +273,15 @@ def test_box_table_on_unpruned_b2_terms(monkeypatch):
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3),
-                                         ("D", 4), ("G2", 2), ("F4", 4)])
+                                         ("D", 4), ("G2", 2), ("F4", 4),
+                                         ("A", 1), ("E6", 6)])
 def test_packing_bound_covers_every_cell(label, rank):
     rs = build(label, rank)
     roots = rs.positive_root_alpha_coords
     rng = random.Random(31)
+    high = 3 if rank <= 4 else 2
     for _ in range(3):
-        top = tuple(rng.randint(0, 3) for _ in range(rank))
+        top = tuple(rng.randint(0, high) for _ in range(rank))
         table = kostant.BoxTable(top, roots)
         largest = max(table.lookup(x).evaluate(1)
                       for x in itertools.product(*(range(t + 1) for t in top)))
@@ -282,6 +290,51 @@ def test_packing_bound_covers_every_cell(label, rank):
         assert table.bits == bound.bit_length()
         height_bound = prod(sum(top) // sum(beta) + 1 for beta in roots)
         assert bound <= height_bound
+
+
+def test_non_simple_roots_have_two_nonzero_coordinates():
+    # BoxTable._fill updates each contiguous run of cells with one slice,
+    # which is sound only because every source x - beta then differs from x
+    # before beta's last nonzero coordinate
+    for label, (smallest, _, _) in TYPES.items():
+        ranks = range(smallest, 9) if len(label) == 1 else (smallest,)
+        for rank in ranks:
+            for beta in build(label, rank).positive_root_alpha_coords:
+                if sum(beta) > 1:
+                    assert sum(1 for b in beta if b) >= 2, (label, rank, beta)
+
+
+@pytest.mark.parametrize("label, rank, top", [
+    ("A", 1, (0,)),             # no pass at all, one cell
+    ("A", 1, (6,)),             # no pass at all
+    ("A", 3, (0, 0, 0)),        # top = 0
+    ("B", 3, (0, 3, 0)),        # a single nonzero coordinate
+    ("D", 4, (3, 0, 0, 0)),
+    ("C", 3, (2, 0, 3)),        # some zero coordinates
+    ("D", 4, (1, 2, 0, 1)),
+    ("G2", 2, (3, 5)),
+    ("F4", 4, (1, 2, 2, 0)),
+    ("E6", 6, (1, 1, 2, 1, 1, 0)),
+    ("E7", 7, (1, 1, 1, 2, 1, 0, 1)),
+    ("E8", 8, (0, 1, 1, 2, 1, 1, 1, 0)),
+])
+def test_box_table_matches_recursion_on_whole_box(label, rank, top):
+    rs = build(label, rank)
+    table = kostant.BoxTable(top, rs.positive_root_alpha_coords)
+    assert len(table) == prod(t + 1 for t in top)
+    for x in itertools.product(*(range(t + 1) for t in top)):
+        assert table.lookup(x) == recursion_oracle(rs, x), x
+
+
+@pytest.mark.parametrize("label, rank, k, bits", [
+    ("B", 4, 6, 29), ("A", 5, 6, 27), ("E8", 8, 1, 38),
+    ("B", 8, 2, 38), ("C", 8, 2, 38), ("E7", 7, 2, 39),
+])
+def test_packing_width_at_multiples_of_theta(label, rank, k, bits):
+    rs = build(label, rank)
+    top = tuple(k * int(c) for c in to_simple_root_coords(highest_root(rs), rs))
+    bound = kostant.coefficient_bound(top, rs.positive_root_alpha_coords)
+    assert bound.bit_length() == bits
 
 
 def test_partition_coefficients_are_nonnegative():
