@@ -40,8 +40,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-CAP_ENV_VAR = "WEYLALT_CAP"
-
 ORACLE_SYSTEMS = (("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
                   ("C", 3), ("D", 4), ("G2", 2))
 ORACLE_POINTS = 500
@@ -62,6 +60,9 @@ def _text_value(value) -> str:
     if isinstance(value, (list, set, frozenset)):
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
         return "[" + ", ".join(_text_value(x) for x in items) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_text_value(k)}: {_text_value(v)}"
+                               for k, v in value.items()) + "}"
     return str(value)
 
 
@@ -235,19 +236,9 @@ def parse_weight(text: str, rs) -> lattice.Vector:
 
 
 def _resolve_cap(args) -> int:
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        env = os.environ.get(CAP_ENV_VAR)
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}")
-    if cap is None:
-        return DEFAULT_CAP
-    if cap <= 0:
-        raise ValueError(f"cap must be positive, got {cap}")
-    return cap
+    if args.cap <= 0:
+        raise ValueError(f"cap must be positive, got {args.cap}")
+    return args.cap
 
 
 def cmd_roots(args) -> RunReport:
@@ -272,56 +263,43 @@ def cmd_roots(args) -> RunReport:
     return RunReport("roots", parameters, records=records)
 
 
-def _weight_pair(args, rs):
+def _alternation_terms(args) -> tuple[dict, list, list[dict]]:
+    """The parameters, the (element, P_q) terms and their records of the
+    alternation set of (lam, mu): what weyl-alt and mult both report."""
+    rs = build(args.type, args.rank)
     lam = parse_weight(args.lam, rs)
     mu = parse_weight(args.mu, rs)
-    return lam, mu
-
-
-def _term_records(terms) -> list[dict]:
-    return [
+    cap = _resolve_cap(args)
+    terms = q_multiplicity_terms(lam, mu, rs, cap)
+    records = [
         {"word": str(element),
          "length": element.length,
          "sign": 1 if element.length % 2 == 0 else -1,
          "pq": pq}
         for element, pq in terms
     ]
-
-
-def cmd_weyl_alt(args) -> RunReport:
-    rs = build(args.type, args.rank)
-    lam, mu = _weight_pair(args, rs)
-    cap = _resolve_cap(args)
-    terms = q_multiplicity_terms(lam, mu, rs, cap)
-    records = _term_records(terms)
     parameters = {
         "type": rs.type_label,
         "rank": rs.rank,
         "lam": args.lam,
         "mu": args.mu,
         "cap": cap,
-        "size": len(terms),
     }
+    return parameters, terms, records
+
+
+def cmd_weyl_alt(args) -> RunReport:
+    parameters, terms, records = _alternation_terms(args)
+    parameters["size"] = len(terms)
     return RunReport("weyl-alt", parameters, records=records)
 
 
 def cmd_mult(args) -> RunReport:
-    rs = build(args.type, args.rank)
-    lam, mu = _weight_pair(args, rs)
-    cap = _resolve_cap(args)
-    terms = q_multiplicity_terms(lam, mu, rs, cap)
+    parameters, terms, records = _alternation_terms(args)
     total = alternating_sum(terms)
-    records = _term_records(terms)
-    parameters = {
-        "type": rs.type_label,
-        "rank": rs.rank,
-        "lam": args.lam,
-        "mu": args.mu,
-        "cap": cap,
-        "alternation_size": len(terms),
-        "multiplicity": total.evaluate(1),
-        "q_multiplicity": total,
-    }
+    parameters["alternation_size"] = len(terms)
+    parameters["multiplicity"] = total.evaluate(1)
+    parameters["q_multiplicity"] = total
     return RunReport("mult", parameters, records=records)
 
 
@@ -329,12 +307,16 @@ def cmd_mult(args) -> RunReport:
 SMALLEST_RANK = 2
 
 
-def suite_fibonacci(max_rank: int, cap: int, seed: int) -> list:
-    checks = []
+def _type_b_sweep(max_rank: int):
+    """(r, B_r, its zero weight, omega_1) for r from SMALLEST_RANK to max_rank."""
     for r in range(SMALLEST_RANK, max_rank + 1):
         rs = build("B", r)
-        zero = lattice.zeros(rs.ambient_dim)
-        w1 = fundamental_weight(rs, 1)
+        yield r, rs, lattice.zeros(rs.ambient_dim), fundamental_weight(rs, 1)
+
+
+def suite_fibonacci(max_rank: int, cap: int, seed: int) -> list:
+    checks = []
+    for r, rs, zero, w1 in _type_b_sweep(max_rank):
         aset = alternation_set(w1, zero, rs, cap)
         checks.append(check(f"B{r} count", fibonacci(r + 1), len(aset)))
         predicted = sorted(predicted_alternation_set_B(r))
@@ -376,10 +358,7 @@ def suite_fibonacci(max_rank: int, cap: int, seed: int) -> list:
 
 def suite_qmult(max_rank: int, cap: int, seed: int) -> list:
     checks = []
-    for r in range(SMALLEST_RANK, max_rank + 1):
-        rs = build("B", r)
-        zero = lattice.zeros(rs.ambient_dim)
-        w1 = fundamental_weight(rs, 1)
+    for r, rs, zero, w1 in _type_b_sweep(max_rank):
         mq = q_multiplicity(w1, zero, rs, cap)
         checks.append(check(f"B{r} q-multiplicity", QPolynomial.monomial(r), mq))
         checks.append(check(f"B{r} multiplicity", 1, mq.evaluate(1)))
@@ -388,12 +367,10 @@ def suite_qmult(max_rank: int, cap: int, seed: int) -> list:
 
 def suite_char_b(max_rank: int, cap: int, seed: int) -> list:
     checks = []
-    for r in range(SMALLEST_RANK, max_rank + 1):
-        rs = build("B", r)
-        w1 = fundamental_weight(rs, 1)
+    for r, rs, zero, w1 in _type_b_sweep(max_rank):
         entries = weight_diagram(w1, rs, cap)
         weights = {e.weight for e in entries}
-        expected = set(orbit(w1, rs)) | {lattice.zeros(rs.ambient_dim)}
+        expected = set(orbit(w1, rs)) | {zero}
         checks.append(check(f"B{r} diagram weights", sorted(expected), sorted(weights)))
         checks.append(check(f"B{r} diagram size", 2 * r + 1, len(entries)))
         checks.append(check(f"B{r} diagram multiplicities", {1},
@@ -403,10 +380,7 @@ def suite_char_b(max_rank: int, cap: int, seed: int) -> list:
 
 def suite_nonzero_mu(max_rank: int, cap: int, seed: int) -> list:
     checks = []
-    for r in range(SMALLEST_RANK, max_rank + 1):
-        rs = build("B", r)
-        zero = lattice.zeros(rs.ambient_dim)
-        w1 = fundamental_weight(rs, 1)
+    for r, rs, zero, w1 in _type_b_sweep(max_rank):
         for mu in dominant_integral_weights_in_box(rs, 1):
             aset = alternation_set(w1, mu, rs, cap)
             label = f"B{r} mu={_text_value(to_fundamental_coords(mu, rs))}"
@@ -532,9 +506,9 @@ def _add_common(sub, with_cap=True):
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text", help="output format")
     if with_cap:
-        sub.add_argument("--cap", type=int, default=None,
+        sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
                          help="largest Weyl group the run may enumerate "
-                              f"(default ${CAP_ENV_VAR} or {DEFAULT_CAP})")
+                              f"(default {DEFAULT_CAP})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,21 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_roots, with_cap=False)
     p_roots.set_defaults(handler=cmd_roots)
 
-    p_alt = sub.add_parser("weyl-alt", help="Weyl alternation set of (lam, mu)")
-    p_alt.add_argument("type")
-    p_alt.add_argument("rank", type=int)
-    p_alt.add_argument("--lam", required=True, help="weight expression")
-    p_alt.add_argument("--mu", default="0", help="weight expression (default 0)")
-    _add_common(p_alt)
-    p_alt.set_defaults(handler=cmd_weyl_alt)
-
-    p_mult = sub.add_parser("mult", help="multiplicity of mu in L(lam) and its q-analog")
-    p_mult.add_argument("type")
-    p_mult.add_argument("rank", type=int)
-    p_mult.add_argument("--lam", required=True, help="weight expression")
-    p_mult.add_argument("--mu", default="0", help="weight expression (default 0)")
-    _add_common(p_mult)
-    p_mult.set_defaults(handler=cmd_mult)
+    for name, handler, description in (
+            ("weyl-alt", cmd_weyl_alt, "Weyl alternation set of (lam, mu)"),
+            ("mult", cmd_mult, "multiplicity of mu in L(lam) and its q-analog")):
+        p_terms = sub.add_parser(name, help=description)
+        p_terms.add_argument("type")
+        p_terms.add_argument("rank", type=int)
+        p_terms.add_argument("--lam", required=True, help="weight expression")
+        p_terms.add_argument("--mu", default="0", help="weight expression (default 0)")
+        _add_common(p_terms)
+        p_terms.set_defaults(handler=handler)
 
     p_verify = sub.add_parser("verify", help="run a named self-check suite")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])

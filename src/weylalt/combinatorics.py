@@ -8,16 +8,15 @@ from typing import Iterator
 
 from .kostant import QPolynomial
 
-_fib = [0, 1, 1]
-
 
 def fibonacci(n: int) -> int:
-    """F_n with F_1 = F_2 = 1; results are cached."""
+    """F_n with F_1 = F_2 = 1."""
     if n < 1:
         raise ValueError(f"fibonacci index must be >= 1, got {n}")
-    while len(_fib) <= n:
-        _fib.append(_fib[-1] + _fib[-2])
-    return _fib[n]
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def binomial(n: int, k: int) -> int:

@@ -182,12 +182,11 @@ class BoxTable:
     Cell x sits at flat index sum(x_i * strides_i) (row-major) and holds
     P_q(x) packed as one int, coefficient j in bits [j*bits, (j+1)*bits)
     (Kronecker substitution). bits comes from coefficient_bound's count of
-    height sums, so no digit carries. Cells are decoded to QPolynomial on
-    their first lookup. Only that decoded list changes after construction,
-    and each write stores a value equal to any other write to the same cell.
+    height sums, so no digit carries. Each lookup decodes its cell to a
+    QPolynomial; nothing changes after construction.
     """
 
-    __slots__ = ("top", "strides", "bits", "packed", "decoded")
+    __slots__ = ("top", "strides", "bits", "packed")
 
     def __init__(self, top: tuple[int, ...], roots: Sequence[tuple[int, ...]]):
         self.top = top
@@ -197,7 +196,6 @@ class BoxTable:
         self.strides = tuple(strides)
         self.bits = coefficient_bound(top, roots).bit_length()
         self.packed = self._fill(roots)
-        self.decoded: list[QPolynomial | None] = [None] * len(self.packed)
 
     def _fill(self, roots) -> list[int]:
         """Start at q^ht(x), the one decomposition of x into simple roots,
@@ -238,17 +236,14 @@ class BoxTable:
 
     def lookup(self, coords: tuple[int, ...]) -> QPolynomial:
         """P_q(coords) for coords inside the box."""
-        index = sum(map(mul, coords, self.strides))
-        value = self.decoded[index]
-        if value is None:
-            packed, bits = self.packed[index], self.bits
-            mask = (1 << bits) - 1
-            coeffs = []
-            while packed:
-                coeffs.append(packed & mask)
-                packed >>= bits
-            value = self.decoded[index] = QPolynomial(coeffs)
-        return value
+        packed = self.packed[sum(map(mul, coords, self.strides))]
+        bits = self.bits
+        mask = (1 << bits) - 1
+        coeffs = []
+        while packed:
+            coeffs.append(packed & mask)
+            packed >>= bits
+        return QPolynomial(coeffs)
 
 
 # RootSystem is eq=False, so each build() instance is its own key
@@ -262,9 +257,8 @@ def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
     union of the old box and the request when that has no more cells than
     the two together, else over the request alone, so memory stays bounded
     and skewed lookups do not inflate the box. The table is replaced as one
-    dict entry and never changed in place apart from its idempotent decoded
-    cells, so concurrent callers at worst build or decode the same thing
-    twice.
+    dict entry and never changed in place, so concurrent callers at worst
+    build the same table twice.
     """
     table = _DEFAULT_CACHES.get(rs)
     if table is None or not table.covers(coords):

@@ -90,6 +90,25 @@ def test_csv_records_table(capsys):
     assert len(lines) == 1 + 6
 
 
+def test_text_renders_dict_parameters(capsys):
+    code = main(["verify", "identities", "--max-rank", "3"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "  max_rank: {identities: 3}\n" in out
+
+
+def test_weyl_alt_and_mult_share_records(capsys):
+    argv = ["C", "3", "--lam", "w1+w2", "--mu", "w1", "--format", "json"]
+    payloads = {}
+    for command in ("weyl-alt", "mult"):
+        assert main([command] + argv) == EXIT_OK
+        payloads[command] = json.loads(capsys.readouterr().out)
+    alt, mult = payloads["weyl-alt"], payloads["mult"]
+    assert alt["records"]
+    assert alt["records"] == mult["records"]
+    assert alt["parameters"]["size"] == mult["parameters"]["alternation_size"]
+
+
 def test_weyl_alt_text(capsys):
     code = main(["weyl-alt", "B", "2", "--lam", "w1"])
     out = capsys.readouterr().out
@@ -174,19 +193,11 @@ def test_closed_reader_keeps_exit_code(code, expected):
 
 # === cap resolution ===
 
-def test_env_cap_override(monkeypatch, capsys):
+def test_cap_ignores_environment(monkeypatch, capsys):
+    # --cap is the cap's only source; the environment does not change output
     monkeypatch.setenv("WEYLALT_CAP", "10")
-    assert main(["weyl-alt", "B", "3", "--lam", "w1"]) == EXIT_CAP
-    capsys.readouterr()
-    # explicit --cap wins over the environment
-    assert main(["weyl-alt", "B", "3", "--lam", "w1", "--cap", "48"]) == EXIT_OK
-    capsys.readouterr()
-
-
-def test_env_cap_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("WEYLALT_CAP", "plenty")
-    assert main(["weyl-alt", "B", "3", "--lam", "w1"]) == EXIT_USAGE
-    assert "WEYLALT_CAP" in capsys.readouterr().err
+    assert main(["weyl-alt", "B", "3", "--lam", "w1", "--format", "json"]) == EXIT_OK
+    assert '"cap":2000000' in capsys.readouterr().out
 
 
 def test_cap_must_be_positive(capsys):
@@ -211,6 +222,20 @@ def test_max_rank_below_smallest_rank_is_usage_error(suite, max_rank, capsys):
     name = "fibonacci" if suite == "all" else suite
     assert (f"error: suite {name} runs no check at --max-rank {max_rank}; "
             "its smallest rank is 2") in captured.err
+
+
+# === console script ===
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "identities", "--max-rank", "2"], EXIT_OK),
+    (["roots", "B", "1"], EXIT_USAGE),
+], ids=["ok", "usage"])
+def test_entry_exits_with_main_code(argv, expected, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["weylalt"] + argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == expected
+    capsys.readouterr()
 
 
 # === removed flags ===
@@ -276,9 +301,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("weyl-alt_E8_8_sum-simple", ["weyl-alt", "E8", "8", "--lam", "sum-simple",
                                   "--cap", "696729600"]),
 ])
-def test_json_output_matches_golden(name, argv, monkeypatch, capsys):
+def test_json_output_matches_golden(name, argv, capsys):
     # byte for byte, apart from the elapsed_ms field
-    monkeypatch.delenv("WEYLALT_CAP", raising=False)
     assert main(argv + ["--format", "json"]) == EXIT_OK
     out = re.sub(r'"elapsed_ms":\d+,', "", capsys.readouterr().out)
     assert out == (GOLDEN / f"{name}.json").read_text()
