@@ -52,19 +52,14 @@ def verify_alternating_identity(r: int) -> bool:
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
-    one_plus_q = QPolynomial((1, 1))
 
-    lhs1 = QPolynomial.zero()
-    for k in range((r - 1) // 2 + 1):
-        term = one_plus_q ** (r - 1 - 2 * k)
-        term = term.scale(binomial(r - 1 - k, k) * (-1) ** k)
-        lhs1 = lhs1 + term.shift(1 + k)
-    if lhs1 != QPolynomial.geometric(1, r):
-        return False
+    def lhs(n: int, sign: int) -> QPolynomial:
+        # sign * sum_k (-1)^k C(n-k, k) q^(1+k) (1+q)^(n-2k)
+        total = QPolynomial.zero()
+        for k in range(n // 2 + 1):
+            term = QPolynomial((1, 1)) ** (n - 2 * k)
+            total = total + term.scale(sign * (-1) ** k * binomial(n - k, k)).shift(1 + k)
+        return total
 
-    lhs2 = QPolynomial.zero()
-    for k in range((r - 2) // 2 + 1):
-        term = one_plus_q ** (r - 2 - 2 * k)
-        term = term.scale(binomial(r - 2 - k, k) * (-1) ** (1 + k))
-        lhs2 = lhs2 + term.shift(1 + k)
-    return lhs2 == -QPolynomial.geometric(1, r - 1)
+    return (lhs(r - 1, 1) == QPolynomial.geometric(1, r)
+            and lhs(r - 2, -1) == -QPolynomial.geometric(1, r - 1))

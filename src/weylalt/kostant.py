@@ -334,10 +334,10 @@ def partition_q_alpha(coords: Sequence[int], rs: RootSystem) -> QPolynomial:
 def partition_q(xi: Vector, rs: RootSystem) -> QPolynomial:
     """q-analog of the Kostant partition function of an ambient vector; the
     zero polynomial outside the nonnegative integer span of the roots."""
-    coords = _validated_alpha_coords(xi, rs)
-    if coords is None:
+    try:
+        return partition_q_alpha(to_simple_root_coords(xi, rs), rs)
+    except NotInRootSpan:
         return QPolynomial.zero()
-    return partition_q_alpha(coords, rs)
 
 
 def partition(xi: Vector, rs: RootSystem) -> int:

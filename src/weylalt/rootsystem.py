@@ -265,29 +265,24 @@ def sum_of_simple_roots_in_fundamental_basis(rs: RootSystem) -> Vector:
 def dominant_integral_weights_in_box(rs: RootSystem, bound) -> list[Vector]:
     """Dominant integral weights k_1 e_1 + ... + k_r e_r with k_1 <= bound.
 
-    Enumerates the odd-orthogonal coordinate box (nonincreasing nonnegative
-    entries, all integers or all half-odd-integers, pairwise integral
-    differences) and keeps the members that are dominant integral weights of
-    rs. For type B the box is exactly the dominant cone, so nothing is
-    dropped; for every type bound = 0 yields only the zero weight.
+    Enumerates nonincreasing entries from the half-integers in [0, bound] and
+    keeps the vectors that are dominant integral weights of rs. In types A-D
+    a vector mixing integer and half-odd entries pairs to a half-integer with
+    some e_i - e_(i+1), so it is dropped. For type B what is left is exactly
+    the dominant cone below the bound; for every type bound = 0 yields only
+    the zero weight.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    r = rs.rank
-    integer_values = [Fraction(n) for n in range(int(bound), -1, -1)]
-    half_values = [Fraction(n, 2) for n in range(2 * bound.numerator // bound.denominator, 0, -1)
-                   if Fraction(n, 2) <= bound and n % 2 == 1]
+    values = [Fraction(n, 2) for n in range(int(2 * bound), -1, -1)]
+    padding = (Fraction(0),) * (rs.ambient_dim - rs.rank)
     out = []
-    for values in (integer_values, half_values):
-        if not values:
+    # values descend, so every combination is already nonincreasing
+    for k in itertools.combinations_with_replacement(values, rs.rank):
+        try:
+            if is_dominant_integral(k + padding, rs):
+                out.append(k + padding)
+        except NotInRootSpan:
             continue
-        for combo in itertools.combinations_with_replacement(values, r):
-            k = tuple(sorted(combo, reverse=True))
-            w = k + (Fraction(0),) * (rs.ambient_dim - r)
-            try:
-                if is_dominant_integral(w, rs):
-                    out.append(w)
-            except NotInRootSpan:
-                continue
-    return sorted(set(out))
+    return sorted(out)

@@ -72,24 +72,6 @@ def test_json_round_trip_is_canonical(capsys):
     assert words == ["e", "s2", "s3"]
 
 
-def test_csv_checks_table(capsys):
-    code = main(["verify", "identities", "--format", "csv"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert lines[0] == "name,expected,actual,pass"
-    assert all(line.endswith(",pass") for line in lines[1:])
-
-
-def test_csv_records_table(capsys):
-    code = main(["roots", "G2", "2", "--format", "csv"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert lines[0] == "index,height,eps,alpha_coords"
-    assert len(lines) == 1 + 6
-
-
 def test_text_renders_dict_parameters(capsys):
     code = main(["verify", "identities", "--max-rank", "3"])
     out = capsys.readouterr().out
@@ -245,6 +227,11 @@ def test_cache_file_flag_is_gone(tmp_path, capsys):
                  "--cache-file", str(tmp_path / "b3.json")]) == EXIT_USAGE
     capsys.readouterr()
     assert not (tmp_path / "b3.json").exists()
+
+
+def test_csv_format_is_gone(capsys):
+    assert main(["mult", "B", "3", "--lam", "w1", "--format", "csv"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 # === determinism ===

@@ -252,6 +252,24 @@ def test_weight_diagram_adjoint_dimensions():
             {lattice.neg(r) for r in rs.positive_roots}
 
 
+# E7 and E8 are left out: weight_diagram runs one alternating sum per
+# candidate weight, and the E7 w7 diagram took 153 s on a 2-core machine.
+# The ROADMAP's dominant-weight diagram is the fix that would bring them in.
+@pytest.mark.parametrize("label, rank, i, dim", [
+    ("A", 3, 2, 6), ("B", 3, 3, 8), ("C", 3, 2, 14), ("D", 4, 1, 8),
+    ("D", 5, 5, 16), ("G2", 2, 1, 7), ("F4", 4, 4, 26), ("E6", 6, 1, 27),
+])
+def test_weight_diagram_matches_weyl_dimension(label, rank, i, dim):
+    rs = build(label, rank)
+    lam = fundamental_weight(rs, i)
+    shifted = lattice.add(lam, rs.rho)
+    weyl_dim = Fraction(1)
+    for alpha in rs.positive_roots:
+        weyl_dim *= lattice.dot(shifted, alpha) / lattice.dot(rs.rho, alpha)
+    assert weyl_dim == dim
+    assert sum(e.multiplicity for e in weight_diagram(lam, rs)) == dim
+
+
 def test_weight_diagram_sorted_and_positive():
     rs = build("B", 3)
     entries = weight_diagram(fundamental_weight(rs, 2), rs)

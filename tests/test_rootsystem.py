@@ -325,6 +325,18 @@ def test_box_enumeration_b3():
     assert all(is_dominant_integral(w, rs) for w in box)
 
 
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_box_b_bound_one_is_fundamental_weights(rank):
+    # 0, omega_1..omega_r and 2 omega_r = (1, ..., 1): the verify nonzero-mu set
+    rs = build("B", rank)
+    expected = {lattice.zeros(rs.ambient_dim),
+                lattice.scale(2, fundamental_weight(rs, rank))}
+    expected |= {fundamental_weight(rs, i) for i in range(1, rank + 1)}
+    box = dominant_integral_weights_in_box(rs, 1)
+    assert len(box) == rank + 2
+    assert set(box) == expected
+
+
 @pytest.mark.parametrize("label, rank", [("A", 2), ("B", 3), ("C", 3), ("D", 4)])
 def test_box_bound_zero_is_origin(label, rank):
     rs = build(label, rank)
