@@ -2,15 +2,17 @@
 
 Root systems are realized in an ambient rational space. Weyl group elements
 are lex-least reduced words that act by simple reflections. The Kostant
-partition function and its q-analog come from one packed table per
-RootSystem object, which starts from q^ht(x), the simple roots' share, and
-adds a knapsack pass per other positive root. Multiplicities come from the
-alternating sum over the Weyl alternation set, which one integer walk of the
-weak order finds for every type.
+partition function and its q-analog come from one table per RootSystem
+object, each row of cells along the last axis packed into one int. It starts
+from q^ht(x), the simple roots' share, and adds a knapsack pass per other
+positive root, one big-int update per row; a table whose estimated size
+passes the budget raises TableTooLarge before it is built. Multiplicities
+come from the alternating sum over the Weyl alternation set, which one integer
+walk of the weak order finds for every type.
 """
 
 from .errors import (CapExceeded, HeightExceeded, NotInRootSpan,
-                     UnsupportedRank, WeylaltError)
+                     TableTooLarge, UnsupportedRank, WeylaltError)
 from .kostant import QPolynomial, partition, partition_q, partition_q_bruteforce
 from .multiplicity import (AlternationSet, WeightDiagramEntry,
                            alternation_set, multiplicity, q_multiplicity,
@@ -33,6 +35,7 @@ __all__ = [
     "NotInRootSpan",
     "QPolynomial",
     "RootSystem",
+    "TableTooLarge",
     "UnsupportedRank",
     "WeightDiagramEntry",
     "WeylElement",

@@ -3,8 +3,8 @@
 Subcommands: roots (root system data), weyl-alt (alternation set of a weight
 pair), mult (multiplicity and its q-analog), verify (named self-check suites).
 Every run prints one report as text or as json. Exit codes: 0 success,
-1 at least one verify check failed, 2 bad usage or unparseable input, 3 the
-Weyl group enumeration cap was exceeded.
+1 at least one verify check failed, 2 bad usage or unparseable input, 3 a
+resource limit was exceeded: the Weyl group cap or the P_q table budget.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import lattice
 from .combinatorics import (fibonacci, nonconsecutive_subsets,
                             verify_alternating_identity)
-from .errors import CapExceeded, WeylaltError
+from .errors import CapExceeded, TableTooLarge, WeylaltError
 from .kostant import QPolynomial, partition_q, partition_q_bruteforce
 from .multiplicity import (alternating_sum, alternation_set,
                            predicted_alternation_set_B,
@@ -38,7 +38,7 @@ from .weyl import DEFAULT_CAP, group_order, orbit
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-EXIT_CAP = 3
+EXIT_LIMIT = 3
 
 ORACLE_SYSTEMS = (("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
                   ("C", 3), ("D", 4), ("G2", 2))
@@ -519,9 +519,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
-    except CapExceeded as exc:
+    except (CapExceeded, TableTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_LIMIT
     except (WeylaltError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

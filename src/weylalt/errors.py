@@ -17,5 +17,9 @@ class CapExceeded(WeylaltError):
     """Weyl group order exceeds the configured cap."""
 
 
+class TableTooLarge(WeylaltError):
+    """P_q table over a box would exceed the memory budget."""
+
+
 class HeightExceeded(WeylaltError):
     """Input too tall for the brute-force partition search."""

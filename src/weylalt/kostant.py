@@ -3,12 +3,15 @@
 The q-analog P_q(xi) = sum_j c_j q^j counts the ways to write xi as a sum of
 exactly j positive roots. The main path is one dense table per RootSystem
 object (build hands out one per type and rank) over a box [0, top] in
-simple-root coordinates. It starts from the simple roots' closed form q^ht(x)
-and adds one unbounded-knapsack pass per other positive root, each polynomial
-packed into a single int (see BoxTable); a lookup outside it builds a new one.
-Two independent routes are kept as oracles and never merged with it:
-partition_q_recursive, a recursion over a permuted root list, and
-partition_q_bruteforce, an exhaustive search with no memo.
+simple-root coordinates. Every row of cells along the last axis is packed into
+a single int, one polynomial per cell (see BoxTable). The fill starts from the
+simple roots' closed form q^ht(x) and adds one unbounded-knapsack pass per
+other positive root, one big-int update per row. A lookup outside the box
+builds a new table, unless its estimated size passes TABLE_BUDGET_BYTES: then
+TableTooLarge is raised before anything is allocated. Two independent routes
+are kept as oracles and never merged with it: partition_q_recursive, a
+recursion over a permuted root list, and partition_q_bruteforce, an exhaustive
+search with no memo.
 """
 
 from __future__ import annotations
@@ -17,11 +20,16 @@ from math import prod
 from operator import le, mul
 from typing import Iterable, Sequence
 
-from .errors import HeightExceeded, NotInRootSpan
+from .errors import HeightExceeded, NotInRootSpan, TableTooLarge
 from .lattice import Vector
 from .rootsystem import RootSystem, to_simple_root_coords
 
 BRUTE_FORCE_MAX_HEIGHT = 30
+# table_bytes reads within 8% of the growth of the process's VmHWM over the
+# fill at B8, C8 and E7 at 2 theta and E8 at theta (25-39 MB); 1 GiB is an
+# eighth of an 8 GB machine and holds B8 at 3 theta (986 MB) but not E8 at
+# 2 theta (6.5 GB)
+TABLE_BUDGET_BYTES = 1 << 30
 
 
 class QPolynomial:
@@ -34,10 +42,14 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        trimmed = list(coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
+        trimmed = tuple(coeffs)
+        if trimmed and not trimmed[-1]:
+            # table lookups never get here: their leading coefficient is 1
+            trimmed = list(trimmed)
+            while trimmed and trimmed[-1] == 0:
+                trimmed.pop()
+            trimmed = tuple(trimmed)
+        object.__setattr__(self, "coeffs", trimmed)
 
     def __setattr__(self, *args):
         raise AttributeError("QPolynomial is immutable")
@@ -179,71 +191,100 @@ def coefficient_bound(top: Sequence[int], roots: Sequence[Sequence[int]]) -> int
 class BoxTable:
     """P_q for every x in the box [0, top] of simple-root coordinates.
 
-    Cell x sits at flat index sum(x_i * strides_i) (row-major) and holds
-    P_q(x) packed as one int, coefficient j in bits [j*bits, (j+1)*bits)
-    (Kronecker substitution). bits comes from coefficient_bound's count of
-    height sums, so no digit carries. Each lookup decodes its cell to a
+    A row holds the cells that share a prefix x_0..x_(r-2), packed into one
+    int: cell x_(r-1) = j in bits [j*width, (j+1)*width), where width =
+    (ht(top) + 1) * bits. Within a cell, coefficient k of P_q(x) sits in bits
+    [k*bits, (k+1)*bits) (Kronecker substitution). bits comes from
+    coefficient_bound's count of height sums, so no digit carries, and no
+    cell spills into the next since deg P_q(x) = ht(x) <= ht(top). Row p sits
+    at index sum(p_i * strides_i), row-major; strides ends in a 0 so that a
+    whole point indexes its row. Each lookup decodes its cell to a
     QPolynomial; nothing changes after construction.
     """
 
-    __slots__ = ("top", "strides", "bits", "packed")
+    __slots__ = ("top", "strides", "bits", "width", "mask", "cellmask", "rows")
 
     def __init__(self, top: tuple[int, ...], roots: Sequence[tuple[int, ...]]):
         self.top = top
-        strides = [1] * len(top)
+        strides = [0] * len(top)
+        step = 1
         for i in range(len(top) - 2, -1, -1):
-            strides[i] = strides[i + 1] * (top[i + 1] + 1)
+            strides[i] = step
+            step *= top[i] + 1
         self.strides = tuple(strides)
         self.bits = coefficient_bound(top, roots).bit_length()
-        self.packed = self._fill(roots)
+        self.width = (sum(top) + 1) * self.bits
+        self.mask = (1 << self.bits) - 1
+        self.cellmask = (1 << self.width) - 1
+        self.rows = self._fill(roots)
 
     def _fill(self, roots) -> list[int]:
         """Start at q^ht(x), the one decomposition of x into simple roots,
         then run one unbounded-knapsack pass per other positive root beta:
-        t[x] += t[x - beta] * q, in increasing flat index over [beta, top]."""
-        top, strides, bits = self.top, self.strides, self.bits
+        t[x] += t[x - beta] * q, one row at a time in increasing row index.
+
+        A non-simple root is nonzero before the last axis, so every source
+        row lies before its destination row and is final in this pass when
+        it is read. Within a row the pass is one shift by beta's last
+        coordinate in cells plus one coefficient; the mask drops what would
+        pass the row's last cell."""
+        top, strides, bits, width = self.top, self.strides, self.bits, self.width
+        r = len(top)
+        step = width + bits
+        base = sum(1 << (j * step) for j in range(top[-1] + 1))
         heights = [0]
-        for t in top:
+        for t in top[:-1]:
             heights = [h + x for h in heights for x in range(t + 1)]
-        powers = [1 << (bits * h) for h in range(sum(top) + 1)]
-        table = [powers[h] for h in heights]
+        rows = [base << (h * bits) for h in heights]
+        rowmask = (1 << ((top[-1] + 1) * width)) - 1
         for beta in roots:
             if sum(beta) == 1 or any(b > t for b, t in zip(beta, top)):
                 continue
-            offset = sum(b * s for b, s in zip(beta, strides))
-            # Coordinates after the last nonzero one, k, are free, so for each
-            # prefix x_0..x_(k-1) the cells with x_k in [beta_k, top_k] form one
-            # contiguous run. A non-simple root is nonzero before k too, so
-            # every source x - beta has a smaller prefix: it lies in an earlier
-            # run or in none, and is final in this pass when the run reads it.
-            k = max(i for i, b in enumerate(beta) if b)
-            starts = [beta[k] * strides[k]]
-            for i in range(k):
+            offset = sum(map(mul, beta, strides))
+            # the destination rows, prefix in [beta, top], as runs along the
+            # last prefix axis
+            starts = [beta[r - 2]]
+            for i in range(r - 2):
                 starts = [s + x * strides[i]
                           for s in starts for x in range(beta[i], top[i] + 1)]
-            run = (top[k] - beta[k] + 1) * strides[k]
-            for lo in starts:
-                hi = lo + run
-                table[lo:hi] = [x + (y << bits) for x, y in
-                                zip(table[lo:hi], table[lo - offset:hi - offset])]
-        return table
+            run = top[r - 2] - beta[r - 2] + 1
+            if beta[-1]:
+                shift = beta[-1] * width + bits
+                for lo in starts:
+                    for d in range(lo, lo + run):
+                        rows[d] += (rows[d - offset] << shift) & rowmask
+            else:
+                for lo in starts:
+                    for d in range(lo, lo + run):
+                        rows[d] += rows[d - offset] << bits
+        return rows
 
     def __len__(self) -> int:
-        return len(self.packed)
+        return len(self.rows) * (self.top[-1] + 1)
 
     def covers(self, coords: tuple[int, ...]) -> bool:
         return all(map(le, coords, self.top))
 
     def lookup(self, coords: tuple[int, ...]) -> QPolynomial:
         """P_q(coords) for coords inside the box."""
-        packed = self.packed[sum(map(mul, coords, self.strides))]
+        row = self.rows[sum(map(mul, coords, self.strides))]
+        packed = (row >> (coords[-1] * self.width)) & self.cellmask
         bits = self.bits
-        mask = (1 << bits) - 1
+        mask = self.mask
         coeffs = []
         while packed:
             coeffs.append(packed & mask)
             packed >>= bits
         return QPolynomial(coeffs)
+
+
+def table_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
+    """Bytes a BoxTable over [0, top] holds, from its layout alone: per row a
+    list slot, an int header and 4 bytes per 30-bit digit of the full row.
+    Rows of low height are shorter, so this is an upper bound."""
+    width = (sum(top) + 1) * coefficient_bound(top, roots).bit_length()
+    digits = -(-(top[-1] + 1) * width // 30)
+    return prod(t + 1 for t in top[:-1]) * (32 + 4 * digits)
 
 
 # RootSystem is eq=False, so each build() instance is its own key
@@ -255,20 +296,29 @@ def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
 
     A lookup outside the box builds a new table: over the coordinatewise
     union of the old box and the request when that has no more cells than
-    the two together, else over the request alone, so memory stays bounded
-    and skewed lookups do not inflate the box. The table is replaced as one
-    dict entry and never changed in place, so concurrent callers at worst
-    build the same table twice.
+    the two together and fits TABLE_BUDGET_BYTES, else over the request
+    alone, so memory stays bounded and skewed lookups do not inflate the box.
+    A request over the budget raises TableTooLarge before anything is
+    allocated. The table is replaced as one dict entry and never changed in
+    place, so concurrent callers at worst build the same table twice.
     """
     table = _DEFAULT_CACHES.get(rs)
     if table is None or not table.covers(coords):
+        roots = rs.positive_root_alpha_coords
         top = coords
         if table is not None:
             union = tuple(map(max, table.top, coords))
             cells = prod(t + 1 for t in union)
-            if cells <= len(table) + prod(c + 1 for c in coords):
+            if (cells <= len(table) + prod(c + 1 for c in coords)
+                    and table_bytes(union, roots) <= TABLE_BUDGET_BYTES):
                 top = union
-        table = _DEFAULT_CACHES[rs] = BoxTable(top, rs.positive_root_alpha_coords)
+        size = table_bytes(top, roots)
+        if size > TABLE_BUDGET_BYTES:
+            raise TableTooLarge(
+                f"P_q table over the box {list(top)} has "
+                f"{prod(t + 1 for t in top):,} cells, an estimated {size:,} "
+                f"bytes, over the budget of {TABLE_BUDGET_BYTES:,} bytes")
+        table = _DEFAULT_CACHES[rs] = BoxTable(top, roots)
     return table.lookup(coords)
 
 

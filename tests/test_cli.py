@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import weylalt
-from weylalt import cli, lattice
-from weylalt.cli import (EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
+from weylalt import cli, kostant, lattice
+from weylalt.cli import (EXIT_CHECK_FAILED, EXIT_LIMIT, EXIT_OK, EXIT_USAGE,
                          Check, RunReport, main, parse_weight)
 from weylalt.rootsystem import build
 
@@ -125,10 +125,25 @@ def test_help_exits_ok(capsys):
 
 
 def test_exit_cap(capsys):
-    assert main(["mult", "E8", "8", "--lam", "w1"]) == EXIT_CAP
+    assert main(["mult", "E8", "8", "--lam", "w1"]) == EXIT_LIMIT
     assert "cap" in capsys.readouterr().err
-    assert main(["weyl-alt", "B", "3", "--lam", "w1", "--cap", "10"]) == EXIT_CAP
+    assert main(["weyl-alt", "B", "3", "--lam", "w1", "--cap", "10"]) == EXIT_LIMIT
     capsys.readouterr()
+
+
+def test_exit_table_budget(monkeypatch, capsys):
+    # lam = 1000 theta asks for the box (1000, 1000, 1000): 1,003,003,001
+    # cells, far over the budget, so the run must stop before any table fill
+    def no_fill(top, roots):
+        raise AssertionError(f"an over-budget table over {top} was built")
+
+    monkeypatch.setattr(kostant, "BoxTable", no_fill)
+    assert main(["mult", "A", "3", "--lam", "eps:1000,0,0,-1000"]) == EXIT_LIMIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[1000, 1000, 1000]" in captured.err
+    assert "1,003,003,001 cells, an estimated" in captured.err
+    assert f"budget of {kostant.TABLE_BUDGET_BYTES:,} bytes" in captured.err
 
 
 def test_exit_check_failed(monkeypatch, capsys):
@@ -287,6 +302,9 @@ GOLDEN = Path(__file__).parent / "golden"
                                   "--cap", "2903040"]),
     ("weyl-alt_E8_8_sum-simple", ["weyl-alt", "E8", "8", "--lam", "sum-simple",
                                   "--cap", "696729600"]),
+    ("mult_B_4_6highest-root", ["mult", "B", "4", "--lam", "+".join(["highest-root"] * 6)]),
+    ("mult_A_5_6highest-root", ["mult", "A", "5", "--lam", "+".join(["highest-root"] * 6)]),
+    ("mult_C_4_2highest-root", ["mult", "C", "4", "--lam", "+".join(["highest-root"] * 2)]),
 ])
 def test_json_output_matches_golden(name, argv, capsys):
     # byte for byte, apart from the elapsed_ms field

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import prod
 
 import pytest
 
 from weylalt import kostant, lattice
-from weylalt.errors import HeightExceeded
+from weylalt.errors import HeightExceeded, TableTooLarge
 from weylalt.kostant import (QPolynomial, partition, partition_q,
                              partition_q_alpha, partition_q_bruteforce,
                              partition_q_recursive)
@@ -293,9 +294,9 @@ def test_packing_bound_covers_every_cell(label, rank):
 
 
 def test_non_simple_roots_have_two_nonzero_coordinates():
-    # BoxTable._fill updates each contiguous run of cells with one slice,
-    # which is sound only because every source x - beta then differs from x
-    # before beta's last nonzero coordinate
+    # BoxTable._fill updates a whole row, the cells that share x_0..x_(r-2),
+    # with one shift of its source row, which is sound only because that
+    # source row comes earlier: beta is nonzero before its last coordinate
     for label, (smallest, _, _) in TYPES.items():
         ranks = range(smallest, 9) if len(label) == 1 else (smallest,)
         for rank in ranks:
@@ -317,6 +318,9 @@ def test_non_simple_roots_have_two_nonzero_coordinates():
     ("E6", 6, (1, 1, 2, 1, 1, 0)),
     ("E7", 7, (1, 1, 1, 2, 1, 0, 1)),
     ("E8", 8, (0, 1, 1, 2, 1, 1, 1, 0)),
+    ("B", 4, (1, 2, 2, 5)),     # a long last axis: six cells a row
+    ("A", 4, (0, 0, 0, 4)),     # only the last axis nonzero: one row
+    ("C", 4, (2, 2, 2, 0)),     # one-cell rows
 ])
 def test_box_table_matches_recursion_on_whole_box(label, rank, top):
     rs = build(label, rank)
@@ -335,6 +339,64 @@ def test_packing_width_at_multiples_of_theta(label, rank, k, bits):
     top = tuple(k * int(c) for c in to_simple_root_coords(highest_root(rs), rs))
     bound = kostant.coefficient_bound(top, rs.positive_root_alpha_coords)
     assert bound.bit_length() == bits
+
+
+def theta_box(label, rank, k):
+    rs = build(label, rank)
+    return rs, tuple(k * int(c) for c in to_simple_root_coords(highest_root(rs), rs))
+
+
+@pytest.mark.parametrize("label, rank, k", [
+    ("B", 4, 6), ("A", 5, 6), ("C", 4, 2), ("G2", 2, 3), ("A", 1, 5),
+])
+def test_table_bytes_bounds_the_rows(label, rank, k):
+    # the estimate counts every row at full length, a list slot and an int
+    # header each; rows of low height are shorter
+    rs, top = theta_box(label, rank, k)
+    table = kostant.BoxTable(top, rs.positive_root_alpha_coords)
+    held = sum(sys.getsizeof(row) + 8 for row in table.rows)
+    estimate = kostant.table_bytes(top, rs.positive_root_alpha_coords)
+    assert held <= estimate <= 1.2 * held
+
+
+@pytest.mark.parametrize("label, rank, k, fits", [
+    ("B", 4, 6, True), ("A", 5, 6, True), ("C", 4, 2, True),
+    ("E8", 8, 1, True), ("B", 8, 2, True), ("C", 8, 2, True), ("E7", 7, 2, True),
+    ("E8", 8, 2, False), ("A", 3, 1000, False),
+])
+def test_table_budget_at_multiples_of_theta(label, rank, k, fits):
+    # the benchmark's mult boxes and the rank-7 and rank-8 boxes at 2 theta
+    # fit; E8 at 2 theta (14,189,175 cells) and A3 at 1000 theta do not
+    rs, top = theta_box(label, rank, k)
+    estimate = kostant.table_bytes(top, rs.positive_root_alpha_coords)
+    assert (estimate <= kostant.TABLE_BUDGET_BYTES) == fits
+
+
+def test_over_budget_request_raises_before_building(monkeypatch):
+    rs = build("B", 2)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    partition_q_alpha((2, 2), rs)
+    table = kostant._DEFAULT_CACHES[rs]
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES",
+                        kostant.table_bytes((3, 3), rs.positive_root_alpha_coords) - 1)
+    with pytest.raises(TableTooLarge, match=r"box \[3, 3\] has 16 cells"):
+        partition_q_alpha((3, 3), rs)
+    assert kostant._DEFAULT_CACHES[rs] is table
+    # lookups inside the built box still answer
+    assert partition_q_alpha((2, 1), rs) == recursion_oracle(rs, (2, 1))
+
+
+def test_union_over_budget_builds_the_request_alone(monkeypatch):
+    # (3, 3) then (4, 2): the union (4, 3) passes the cell rule (20 <= 16 + 15)
+    # but not a budget that only the request fits
+    rs = build("B", 2)
+    roots = rs.positive_root_alpha_coords
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    partition_q_alpha((3, 3), rs)
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.table_bytes((4, 2), roots))
+    assert kostant.table_bytes((4, 3), roots) > kostant.TABLE_BUDGET_BYTES
+    assert partition_q_alpha((4, 2), rs) == recursion_oracle(rs, (4, 2))
+    assert kostant._DEFAULT_CACHES[rs].top == (4, 2)
 
 
 def test_partition_coefficients_are_nonnegative():
