@@ -10,6 +10,7 @@ resource limit was exceeded: the Weyl group cap or the P_q table budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import re
@@ -61,16 +62,10 @@ def _text_value(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    # Fraction prints as str
+def _json_default(value):
+    # the encoder's fallback for what JSON lacks: Fraction and sets print as str
     if isinstance(value, QPolynomial):
         return list(value.coeffs)
-    if isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_json_value(x) for x in value]
-    if isinstance(value, dict):
-        return {k: _json_value(v) for k, v in value.items()}
     return str(value)
 
 
@@ -123,16 +118,16 @@ class RunReport:
 
         payload = {
             "command": self.command,
-            "parameters": {k: _json_value(v) for k, v in self.parameters.items()},
-            "records": [{k: _json_value(v) for k, v in rec.items()}
-                        for rec in self.records],
+            "parameters": self.parameters,
+            "records": self.records,
             "checks": [{"name": c.name, "expected": c.expected,
                         "actual": c.actual, "pass": c.passed}
                        for c in self.checks],
             "ok": self.ok(),
             "elapsed_ms": self.elapsed_ms,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          default=_json_default)
 
     def render(self, fmt: str) -> str:
         return self.to_json() if fmt == "json" else self.to_text()
@@ -475,6 +470,12 @@ def _add_common(sub, with_cap=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for the current SUITES, built once per set of suite names."""
+    return _parser(tuple(SUITES))
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(suites: tuple) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylalt",
         description="Weyl alternation sets and Kostant weight multiplicities "
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_terms.set_defaults(handler=handler)
 
     p_verify = sub.add_parser("verify", help="run a named self-check suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p_verify.add_argument("suite", choices=sorted(suites) + ["all"])
     p_verify.add_argument("--max-rank", type=int, default=None,
                           help="largest rank the suite walks (suite-specific default)")
     p_verify.add_argument("--seed", type=int, default=0,

@@ -1,5 +1,5 @@
-"""Fibonacci numbers, nonconsecutive index subsets, and the alternating
-binomial identities behind the q-multiplicity collapse."""
+"""Fibonacci and Lucas numbers, nonconsecutive index subsets, and the
+alternating binomial identities behind the q-multiplicity collapse."""
 
 from __future__ import annotations
 
@@ -14,6 +14,16 @@ def fibonacci(n: int) -> int:
     if n < 1:
         raise ValueError(f"fibonacci index must be >= 1, got {n}")
     a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def lucas(n: int) -> int:
+    """L_n with L_0 = 2, L_1 = 1, the same recurrence as fibonacci."""
+    if n < 0:
+        raise ValueError(f"lucas index must be >= 0, got {n}")
+    a, b = 2, 1
     for _ in range(n):
         a, b = b, a + b
     return a

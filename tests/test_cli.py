@@ -60,6 +60,77 @@ def test_report_ok_and_text():
     assert "1 passed, 1 failed" in text
 
 
+def _json_value(value):
+    # the slow oracle of to_json: every value made JSON-ready in Python
+    # before json.dumps sees it; Fraction and sets print as str
+    if isinstance(value, kostant.QPolynomial):
+        return list(value.coeffs)
+    if isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_json_value(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return str(value)
+
+
+def _oracle_json(report):
+    payload = {
+        "command": report.command,
+        "parameters": {k: _json_value(v) for k, v in report.parameters.items()},
+        "records": [{k: _json_value(v) for k, v in rec.items()}
+                    for rec in report.records],
+        "checks": [{"name": c.name, "expected": c.expected,
+                    "actual": c.actual, "pass": c.passed}
+                   for c in report.checks],
+        "ok": report.ok(),
+        "elapsed_ms": report.elapsed_ms,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def test_to_json_matches_oracle_on_every_value_kind():
+    kinds = {
+        "int": -7,
+        "bool": True,
+        "str": "w1+w2",
+        "fraction_integral": Fraction(4, 2),
+        "fraction": Fraction(-3, 2),
+        "tuple": (Fraction(1, 2), 0, Fraction(-5)),
+        "list": [1, (2, Fraction(1, 3)), ["x", False]],
+        "nested_dict": {"b": {"z": Fraction(7, 4), "a": [kostant.QPolynomial((1, 2))]},
+                        "a": (True, 3)},
+        "set": {3, 1, 2},
+        "frozenset": frozenset({Fraction(1, 2)}),
+        "pq_zero": kostant.QPolynomial.zero(),
+        "pq_negative": kostant.QPolynomial((0, -1, 0, 2, -3)),
+    }
+    report = RunReport("demo", dict(kinds),
+                       records=[dict(kinds), {"pq": kostant.QPolynomial.one()}],
+                       checks=[Check("a", "1", "1", True),
+                               Check("b", "(1/2, 0)", "[]", False)],
+                       elapsed_ms=12)
+    assert report.to_json() == _oracle_json(report)
+    payload = json.loads(report.to_json())["parameters"]
+    assert payload["fraction_integral"] == "2"
+    assert payload["fraction"] == "-3/2"
+    assert payload["pq_zero"] == []
+    assert payload["pq_negative"] == [0, -1, 0, 2, -3]
+    assert payload["set"] == "{1, 2, 3}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "E8", "8"],
+    ["mult", "B", "4", "--lam", "highest-root", "--mu", "w1"],
+    ["weyl-alt", "C", "3", "--lam", "w1+w2", "--mu", "w1"],
+    ["verify", "identities", "--max-rank", "4"],
+], ids=["roots-E8", "mult-B4", "weyl-alt-C3", "verify"])
+def test_to_json_matches_oracle_on_commands(argv):
+    args = cli.build_parser().parse_args(argv)
+    report = args.handler(args)
+    assert report.to_json() == _oracle_json(report)
+
+
 def test_json_round_trip_is_canonical(capsys):
     code = main(["mult", "B", "3", "--lam", "w1", "--format", "json"])
     out = capsys.readouterr().out.strip()
@@ -155,6 +226,14 @@ def test_exit_check_failed(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _child_env(**extra):
+    # a child python that imports this checkout's weylalt
+    src = str(Path(weylalt.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, **extra,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 RUN_MAIN = "import sys; from weylalt import cli; sys.exit(cli.main({argv!r}))"
 FAILING_VERIFY = """import sys
 from weylalt import cli
@@ -176,9 +255,7 @@ def test_closed_reader_keeps_exit_code(code, expected):
     # a pipe that has no reader, as in `weylalt roots E8 8 | true`
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(weylalt.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = _child_env()
     try:
         child = subprocess.run([sys.executable, "-c", code], stdout=write_end,
                                stderr=subprocess.PIPE, env=env, timeout=120)
@@ -186,6 +263,53 @@ def test_closed_reader_keeps_exit_code(code, expected):
         os.close(write_end)
     assert child.stderr == b""
     assert child.returncode == expected
+
+
+# === one parser per process ===
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify", "forced-failure"])
+    capsys.readouterr()
+    monkeypatch.setitem(cli.SUITES, "forced-failure", (None, 0))
+    fresh = cli.build_parser()
+    assert fresh is not parser
+    assert cli.build_parser() is fresh
+    assert fresh.parse_args(["verify", "forced-failure"]).suite == "forced-failure"
+
+
+def _without_elapsed(text):
+    return re.sub(r'elapsed_ms"?: ?\d+', "elapsed_ms", text)
+
+
+def _fresh_process(argv):
+    child = subprocess.run([sys.executable, "-m", "weylalt.cli", *argv],
+                           capture_output=True, text=True,
+                           env=_child_env(COLUMNS="80"), timeout=120)
+    return child.returncode, _without_elapsed(child.stdout), child.stderr
+
+
+@pytest.mark.parametrize("runs", [
+    [(["mult", "B", "3", "--lam", "w1", "--cap", "5"], EXIT_LIMIT),
+     (["mult", "B", "3", "--lam", "w1", "--format", "json"], EXIT_OK)],
+    [(["verify", "identities", "--max-rank", "3"], EXIT_OK),
+     (["verify", "identities"], EXIT_OK)],
+    [(["--help"], EXIT_OK),
+     (["roots", "A", "2", "--no-such-flag"], EXIT_USAGE),
+     (["roots", "A", "2"], EXIT_OK)],
+], ids=["cap-then-default", "max-rank-then-default", "help-bad-flag-roots"])
+def test_reused_parser_keeps_no_state(runs, monkeypatch, capsys):
+    # each run in this process prints what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    for argv, expected in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert cli.build_parser() is parser
+        assert code == expected
+        assert (code, _without_elapsed(captured.out), captured.err) == _fresh_process(argv)
 
 
 # === cap resolution ===

@@ -1,8 +1,10 @@
-"""Fibonacci numbers, nonconsecutive subsets, and the telescoping identity."""
+"""Fibonacci and Lucas numbers, nonconsecutive subsets, and the telescoping
+identity."""
 
 import pytest
 
-from weylalt.combinatorics import (binomial, fibonacci, nonconsecutive_subsets,
+from weylalt.combinatorics import (binomial, fibonacci, lucas,
+                                   nonconsecutive_subsets,
                                    verify_alternating_identity)
 
 
@@ -19,6 +21,24 @@ def test_fibonacci_rejects_nonpositive():
         fibonacci(0)
     with pytest.raises(ValueError):
         fibonacci(-3)
+
+
+@pytest.mark.parametrize("n, value", [
+    (0, 2), (1, 1), (2, 3), (3, 4), (4, 7), (5, 11), (6, 18), (10, 123),
+])
+def test_lucas(n, value):
+    assert lucas(n) == value
+
+
+def test_lucas_recurrence_and_fibonacci_sum():
+    for n in range(2, 40):
+        assert lucas(n) == lucas(n - 1) + lucas(n - 2)
+        assert lucas(n) == fibonacci(n - 1) + fibonacci(n + 1)
+
+
+def test_lucas_rejects_negative():
+    with pytest.raises(ValueError):
+        lucas(-1)
 
 
 def test_binomial():

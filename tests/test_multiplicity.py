@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weylalt import lattice
+from weylalt.combinatorics import lucas
 from weylalt.errors import CapExceeded, NotInRootSpan
 from weylalt.kostant import QPolynomial, partition_q
 from weylalt.multiplicity import (_survivor_terms, alternation_set,
@@ -341,16 +342,9 @@ def test_predicted_count_by_length():
 
 # === the paper's C, D and exceptional counts for lam = sum of simple roots ===
 
-def _lucas(n):
-    a, b = 2, 1  # L_0, L_1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
 @pytest.mark.parametrize("label, rank, expected", [
-    *[("C", r, 2 * _lucas(r - 2)) for r in range(3, 10)],
-    *[("D", r, 2 * _lucas(r - 3)) for r in range(4, 10)],
+    *[("C", r, 2 * lucas(r - 2)) for r in range(3, 10)],
+    *[("D", r, 2 * lucas(r - 3)) for r in range(4, 10)],
     ("G2", 2, 2), ("F4", 4, 4), ("E6", 6, 12), ("E7", 7, 18), ("E8", 8, 30),
 ])
 def test_sum_of_simple_roots_alternation_counts(label, rank, expected):
