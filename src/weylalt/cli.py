@@ -201,11 +201,13 @@ def _resolve_cap(args) -> int:
 
 
 def cmd_roots(args) -> RunReport:
+    # coordinates go out as the strings both reports print, so the JSON
+    # encoder never falls back to _json_default for them
     rs = build(args.type, args.rank)
     records = [
         {"index": i + 1,
          "height": sum(rs.positive_root_alpha_coords[i]),
-         "eps": root,
+         "eps": tuple(map(str, root)),
          "alpha_coords": rs.positive_root_alpha_coords[i]}
         for i, root in enumerate(rs.positive_roots)
     ]
@@ -216,8 +218,8 @@ def cmd_roots(args) -> RunReport:
         "group_order": group_order(rs),
         "positive_roots": len(rs.positive_roots),
         "cartan_matrix": rs.cartan_matrix,
-        "fundamental_weights": list(rs.fundamental_weights),
-        "rho": rs.rho,
+        "fundamental_weights": [tuple(map(str, w)) for w in rs.fundamental_weights],
+        "rho": tuple(map(str, rs.rho)),
     }
     return RunReport("roots", parameters, records=records)
 

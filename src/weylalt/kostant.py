@@ -4,18 +4,20 @@ The q-analog P_q(xi) = sum_j c_j q^j counts the ways to write xi as a sum of
 exactly j positive roots. The main path is one dense table per RootSystem
 object (build hands out one per type and rank) over a box [0, top] in
 simple-root coordinates. Every row of cells along the last axis is packed into
-a single int, one polynomial per cell (see BoxTable). The fill starts from the
-simple roots' closed form q^ht(x) and adds one unbounded-knapsack pass per
-other positive root, one big-int update per row. A lookup outside the box
-builds a new table, unless its estimated size passes TABLE_BUDGET_BYTES: then
-TableTooLarge is raised before anything is allocated. Two independent routes
-are kept as oracles and never merged with it: partition_q_recursive, a
-recursion over a permuted root list, and partition_q_bruteforce, an exhaustive
-search with no memo.
+a single int, coefficient by coefficient in planes of equal excess ht(x) - j,
+so a row is only as long as its deepest cell (see BoxTable). The fill starts
+every row at excess 0, the simple roots' closed form q^ht(x), and adds one
+unbounded-knapsack pass per other positive root, one big-int update per row.
+A lookup outside the box builds a new table, unless its estimated size passes
+TABLE_BUDGET_BYTES: then TableTooLarge is raised before anything is
+allocated. Two independent routes are kept as oracles and never merged with
+it: partition_q_recursive, a recursion over a permuted root list, and
+partition_q_bruteforce, an exhaustive search with no memo.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, product
 from math import prod
 from operator import le, mul
 from typing import Iterable, Sequence
@@ -25,11 +27,14 @@ from .lattice import Vector
 from .rootsystem import RootSystem, to_simple_root_coords
 
 BRUTE_FORCE_MAX_HEIGHT = 30
-# table_bytes reads within 8% of the growth of the process's VmHWM over the
-# fill at B8, C8 and E7 at 2 theta and E8 at theta (25-39 MB); 1 GiB is an
-# eighth of an 8 GB machine and holds B8 at 3 theta (986 MB) but not E8 at
-# 2 theta (6.5 GB)
+# Over one fill at B8, C8 and E7 at 2 theta and E8 at theta, the growth of
+# the process's VmHWM (14-19 MB, the rows plus the fill's passing ints) reads
+# 0.86-1.04 of height_bytes and 0.93-1.11 of table_bytes. 1 GiB is an eighth
+# of an 8 GB machine; by height_bytes it holds B8 at 3 theta (529 MB) but not
+# E8 at 2 theta (3.4 GB)
 TABLE_BUDGET_BYTES = 1 << 30
+# table_bytes bounds rows one by one up to this many, and blocks of rows past it
+ROW_BOUNDS = 1 << 14
 
 
 class QPolynomial:
@@ -192,17 +197,19 @@ class BoxTable:
     """P_q for every x in the box [0, top] of simple-root coordinates.
 
     A row holds the cells that share a prefix x_0..x_(r-2), packed into one
-    int: cell x_(r-1) = j in bits [j*width, (j+1)*width), where width =
-    (ht(top) + 1) * bits. Within a cell, coefficient k of P_q(x) sits in bits
-    [k*bits, (k+1)*bits) (Kronecker substitution). bits comes from
-    coefficient_bound's count of height sums, so no digit carries, and no
-    cell spills into the next since deg P_q(x) = ht(x) <= ht(top). Row p sits
-    at index sum(p_i * strides_i), row-major; strides ends in a 0 so that a
-    whole point indexes its row. Each lookup decodes its cell to a
-    QPolynomial; nothing changes after construction.
+    int as a stack of planes, one plane per excess e = ht(x) - k: coefficient
+    k of P_q(x) sits in bits [e*plane + x_(r-1)*bits, ... + bits), where
+    plane = (top_(r-1) + 1) * bits. A decomposition of x into k roots none
+    taller than h (the tallest root in the box) has k >= ceil(ht(x)/h), so the
+    planes stop at ht(top) - ceil(ht(top)/h), and a row ends at the excess of
+    its last cell, the largest in the row. bits comes from coefficient_bound's
+    count of height sums, so no digit carries. Row p sits at index
+    sum(p_i * strides_i), row-major; strides ends in a 0 so that a whole point
+    indexes its row. Each lookup decodes its cell to a QPolynomial; nothing
+    changes after construction.
     """
 
-    __slots__ = ("top", "strides", "bits", "width", "mask", "cellmask", "rows")
+    __slots__ = ("top", "strides", "bits", "plane", "mask", "tallest", "rows")
 
     def __init__(self, top: tuple[int, ...], roots: Sequence[tuple[int, ...]]):
         self.top = top
@@ -212,33 +219,32 @@ class BoxTable:
             strides[i] = step
             step *= top[i] + 1
         self.strides = tuple(strides)
-        self.bits = coefficient_bound(top, roots).bit_length()
-        self.width = (sum(top) + 1) * self.bits
+        inbox, self.bits, self.tallest = _layout(top, roots)
+        self.plane = (top[-1] + 1) * self.bits
         self.mask = (1 << self.bits) - 1
-        self.cellmask = (1 << self.width) - 1
-        self.rows = self._fill(roots)
+        self.rows = self._fill(inbox)
 
     def _fill(self, roots) -> list[int]:
-        """Start at q^ht(x), the one decomposition of x into simple roots,
-        then run one unbounded-knapsack pass per other positive root beta:
-        t[x] += t[x - beta] * q, one row at a time in increasing row index.
+        """Start every row at excess 0, the one decomposition of each cell
+        into simple roots, then run one unbounded-knapsack pass per other
+        positive root beta: t[x] += t[x - beta] * q, one row at a time in
+        increasing row index.
 
         A non-simple root is nonzero before the last axis, so every source
         row lies before its destination row and is final in this pass when
-        it is read. Within a row the pass is one shift by beta's last
-        coordinate in cells plus one coefficient; the mask drops what would
-        pass the row's last cell."""
-        top, strides, bits, width = self.top, self.strides, self.bits, self.width
+        it is read. One more part keeps the excess of a coefficient up by
+        ht(beta) - 1, so within a row the pass is one shift by that many
+        planes plus beta's last coordinate in cells; the mask drops what
+        would pass a plane's last cell, and the planes past the last."""
+        top, strides, bits, plane = self.top, self.strides, self.bits, self.plane
         r = len(top)
-        step = width + bits
-        base = sum(1 << (j * step) for j in range(top[-1] + 1))
-        heights = [0]
-        for t in top[:-1]:
-            heights = [h + x for h in heights for x in range(t + 1)]
-        rows = [base << (h * bits) for h in heights]
-        rowmask = (1 << ((top[-1] + 1) * width)) - 1
+        height = sum(top)
+        planes = height - -(-height // self.tallest) + 1
+        # a 1 in the lowest bit of every plane, and a 1 in every cell of plane 0
+        ones = ((1 << (planes * plane)) - 1) // ((1 << plane) - 1)
+        rows = [((1 << plane) - 1) // self.mask] * prod(t + 1 for t in top[:-1])
         for beta in roots:
-            if sum(beta) == 1 or any(b > t for b, t in zip(beta, top)):
+            if sum(beta) == 1:
                 continue
             offset = sum(map(mul, beta, strides))
             # the destination rows, prefix in [beta, top], as runs along the
@@ -248,15 +254,17 @@ class BoxTable:
                 starts = [s + x * strides[i]
                           for s in starts for x in range(beta[i], top[i] + 1)]
             run = top[r - 2] - beta[r - 2] + 1
+            shift = (sum(beta) - 1) * plane + beta[-1] * bits
             if beta[-1]:
-                shift = beta[-1] * width + bits
+                cells = (1 << ((top[-1] + 1 - beta[-1]) * bits)) - 1
+                mask = (cells << (beta[-1] * bits)) * ones
                 for lo in starts:
                     for d in range(lo, lo + run):
-                        rows[d] += (rows[d - offset] << shift) & rowmask
+                        rows[d] += (rows[d - offset] << shift) & mask
             else:
                 for lo in starts:
                     for d in range(lo, lo + run):
-                        rows[d] += rows[d - offset] << bits
+                        rows[d] += rows[d - offset] << shift
         return rows
 
     def __len__(self) -> int:
@@ -266,25 +274,98 @@ class BoxTable:
         return all(map(le, coords, self.top))
 
     def lookup(self, coords: tuple[int, ...]) -> QPolynomial:
-        """P_q(coords) for coords inside the box."""
+        """P_q(coords) for coords inside the box: the planes upward from the
+        cell, coefficient ht(coords) down to the fewest parts possible."""
         row = self.rows[sum(map(mul, coords, self.strides))]
-        packed = (row >> (coords[-1] * self.width)) & self.cellmask
-        bits = self.bits
-        mask = self.mask
-        coeffs = []
-        while packed:
-            coeffs.append(packed & mask)
-            packed >>= bits
+        packed = row >> (coords[-1] * self.bits)
+        height = sum(coords)
+        mask, plane = self.mask, self.plane
+        coeffs = [0] * (height + 1)
+        for k in range(height, -(-height // self.tallest) - 1, -1):
+            coeffs[k] = packed & mask
+            packed >>= plane
         return QPolynomial(coeffs)
 
 
+def _layout(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]
+            ) -> tuple[list[tuple[int, ...]], int, int]:
+    """The roots inside the box [0, top], the only ones a decomposition of a
+    cell can use; the bits of a coefficient; the height of the tallest of
+    those roots."""
+    inbox = [beta for beta in roots if all(map(le, beta, top))]
+    bits = coefficient_bound(top, inbox).bit_length()
+    return inbox, bits, max(map(sum, inbox), default=1)
+
+
+def _row_bytes(excess: int, plane: int) -> int:
+    """A list slot, an int header and 4 bytes per 30-bit digit of a row of
+    excess + 1 planes."""
+    return 32 + 4 * -(-(excess + 1) * plane // 30)
+
+
+def _fewest_parts(inbox: list[tuple[int, ...]], tallest: int, rank: int):
+    """x -> a lower bound on the number of roots of inbox summing to x.
+
+    Each f below is subadditive with f(beta) <= c on every root of inbox, so
+    k roots sum to an x with f(x) <= k*c, and k >= ceil(f(x)/c): the height,
+    with c = tallest; the rises x_0 + sum of max(0, x_i - x_(i-1)), with c
+    their largest value on a root, which count the intervals of type A
+    exactly; and x_i - x_j with c = 1 wherever no root has beta_i - beta_j
+    above 1."""
+    def rises(x):
+        return x[0] + sum(max(0, b - a) for a, b in zip(x, x[1:]))
+
+    most = max(map(rises, inbox), default=1)
+    diffs = [(i, j) for i in range(rank) for j in range(rank)
+             if i != j and all(beta[i] - beta[j] <= 1 for beta in inbox)]
+    return lambda x: max(-(-sum(x) // tallest), -(-rises(x) // most),
+                         *(x[i] - x[j] for i, j in diffs))
+
+
+def height_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
+    """Bytes a BoxTable over [0, top] holds at most, from row heights alone:
+    the last cell x of a row has excess at most ht(x) - ceil(ht(x)/h), h the
+    tallest root in the box. Rows are counted by the height of their prefix,
+    so this costs one pass per axis. It is never above the bytes of rows of
+    ht(top) + 1 full planes each."""
+    _, bits, tallest = _layout(top, roots)
+    plane = (top[-1] + 1) * bits
+    counts = [1]  # counts[s]: prefixes of height s over the axes so far
+    for t in top[:-1]:
+        cum = [0, *accumulate(counts)]
+        n = len(counts)
+        counts = [cum[min(s, n - 1) + 1] - cum[max(s - t, 0)] for s in range(n + t)]
+    return sum(c * _row_bytes(ht - -(-ht // tallest), plane)
+               for ht, c in enumerate(counts, start=top[-1]))
+
+
 def table_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
-    """Bytes a BoxTable over [0, top] holds, from its layout alone: per row a
-    list slot, an int header and 4 bytes per 30-bit digit of the full row.
-    Rows of low height are shorter, so this is an upper bound."""
-    width = (sum(top) + 1) * coefficient_bound(top, roots).bit_length()
-    digits = -(-(top[-1] + 1) * width // 30)
-    return prod(t + 1 for t in top[:-1]) * (32 + 4 * digits)
+    """Bytes a BoxTable over [0, top] holds at most, row by row: a row's
+    last cell x has the largest excess in the row, at most ht(x) minus
+    _fewest_parts(x). Excess only grows with x, so a box of more than
+    ROW_BOUNDS rows is cut into blocks of rows, halving its longest prefix
+    axis until few enough are left, and each block is counted at its top
+    corner."""
+    inbox, bits, tallest = _layout(top, roots)
+    plane = (top[-1] + 1) * bits
+    fewest = _fewest_parts(inbox, tallest, len(top))
+    axes = [[(x, 1) for x in range(t + 1)] for t in top[:-1]]  # (corner, rows)
+    while prod(map(len, axes)) > ROW_BOUNDS:
+        axis = max(axes, key=len)
+        axis[:] = [(pair[-1][0], sum(n for _, n in pair))
+                   for pair in (axis[k:k + 2] for k in range(0, len(axis), 2))]
+    total = 0
+    for block in product(*axes):
+        x = tuple(c for c, _ in block) + (top[-1],)
+        total += prod(n for _, n in block) * _row_bytes(sum(x) - fewest(x), plane)
+    return total
+
+
+def _estimate(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
+    """height_bytes when that fits TABLE_BUDGET_BYTES, else the smaller of it
+    and the dearer table_bytes."""
+    size = height_bytes(top, roots)
+    return size if size <= TABLE_BUDGET_BYTES else min(size, table_bytes(top, roots))
 
 
 # RootSystem is eq=False, so each build() instance is its own key
@@ -310,9 +391,9 @@ def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
             union = tuple(map(max, table.top, coords))
             cells = prod(t + 1 for t in union)
             if (cells <= len(table) + prod(c + 1 for c in coords)
-                    and table_bytes(union, roots) <= TABLE_BUDGET_BYTES):
+                    and _estimate(union, roots) <= TABLE_BUDGET_BYTES):
                 top = union
-        size = table_bytes(top, roots)
+        size = _estimate(top, roots)
         if size > TABLE_BUDGET_BYTES:
             raise TableTooLarge(
                 f"P_q table over the box {list(top)} has "

@@ -270,11 +270,15 @@ def dominant_integral_weights_in_box(rs: RootSystem, bound) -> list[Vector]:
     a vector mixing integer and half-odd entries pairs to a half-integer with
     some e_i - e_(i+1), so it is dropped. For type B what is left is exactly
     the dominant cone below the bound; for every type bound = 0 yields only
-    the zero weight.
+    the zero weight. The dominant weights of A, G2 and E6-E8 do not have this
+    shape (A2's omega_1 is (2/3, -1/3, -1/3)), so there a positive bound,
+    which would find the zero weight alone, raises ValueError.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if bound > 0 and rs.type_label not in ("B", "C", "D", "F4"):
+        raise ValueError(f"{rs}: the scan finds no weight but zero, so bound must be 0")
     values = [Fraction(n, 2) for n in range(int(2 * bound), -1, -1)]
     padding = (Fraction(0),) * (rs.ambient_dim - rs.rank)
     out = []

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -321,6 +322,12 @@ def test_non_simple_roots_have_two_nonzero_coordinates():
     ("B", 4, (1, 2, 2, 5)),     # a long last axis: six cells a row
     ("A", 4, (0, 0, 0, 4)),     # only the last axis nonzero: one row
     ("C", 4, (2, 2, 2, 0)),     # one-cell rows
+    # theta multiples: the top cell is k copies of theta, so its row reaches
+    # the last plane, excess ht(top) - ceil(ht(top)/h)
+    ("B", 3, (2, 4, 4)),
+    ("C", 3, (4, 4, 2)),
+    ("G2", 2, (6, 4)),
+    ("A", 3, (3, 3, 3)),
 ])
 def test_box_table_matches_recursion_on_whole_box(label, rank, top):
     rs = build(label, rank)
@@ -359,6 +366,53 @@ def test_table_bytes_bounds_the_rows(label, rank, k):
     assert held <= estimate <= 1.2 * held
 
 
+@pytest.mark.parametrize("label, rank, k", [
+    ("B", 3, 2), ("C", 3, 2), ("G2", 2, 2), ("A", 3, 3), ("B", 4, 6), ("A", 5, 6),
+    ("C", 4, 2), ("G2", 2, 3), ("D", 4, 2), ("F4", 4, 1), ("E6", 6, 1), ("A", 1, 5),
+])
+def test_rows_end_within_their_excess_bounds(label, rank, k):
+    # a row holds no plane past the largest excess of its last cell, which
+    # _fewest_parts and the height bound both cap; the top row of a theta
+    # multiple reaches the height bound
+    rs, top = theta_box(label, rank, k)
+    roots = rs.positive_root_alpha_coords
+    table = kostant.BoxTable(top, roots)
+    inbox, _, tallest = kostant._layout(top, roots)
+    fewest = kostant._fewest_parts(inbox, tallest, rank)
+    for prefix in itertools.product(*(range(t + 1) for t in top[:-1])):
+        x = prefix + (top[-1],)
+        row = table.rows[sum(map(mul, x, table.strides))]
+        by_height = sum(x) - -(-sum(x) // table.tallest)
+        assert sum(x) - fewest(x) <= by_height
+        assert row.bit_length() <= (sum(x) - fewest(x) + 1) * table.plane, x
+    assert table.rows[-1].bit_length() > by_height * table.plane
+
+
+@pytest.mark.parametrize("label, rank, k", [
+    ("B", 4, 6), ("A", 5, 6), ("C", 4, 2), ("G2", 2, 3), ("A", 1, 5), ("E6", 6, 1),
+])
+def test_height_bytes_bounds_the_row_estimate(label, rank, k):
+    # the cheap estimate is never below the row-by-row one, nor above rows
+    # of ht(top) + 1 full planes each
+    rs, top = theta_box(label, rank, k)
+    roots = rs.positive_root_alpha_coords
+    plane = (top[-1] + 1) * kostant.coefficient_bound(top, roots).bit_length()
+    full = prod(t + 1 for t in top[:-1]) * (32 + 4 * -(-(sum(top) + 1) * plane // 30))
+    assert kostant.table_bytes(top, roots) <= kostant.height_bytes(top, roots) <= full
+
+
+def test_table_bytes_blocks_of_rows_bound_them(monkeypatch):
+    # past ROW_BOUNDS rows, blocks counted at their top corner still bound
+    # the rows, just more loosely
+    rs, top = theta_box("A", 5, 6)
+    roots = rs.positive_root_alpha_coords
+    exact = kostant.table_bytes(top, roots)
+    monkeypatch.setattr(kostant, "ROW_BOUNDS", 40)
+    blocked = kostant.table_bytes(top, roots)
+    table = kostant.BoxTable(top, roots)
+    assert sum(sys.getsizeof(row) + 8 for row in table.rows) <= exact < blocked
+
+
 @pytest.mark.parametrize("label, rank, k, fits", [
     ("B", 4, 6, True), ("A", 5, 6, True), ("C", 4, 2, True),
     ("E8", 8, 1, True), ("B", 8, 2, True), ("C", 8, 2, True), ("E7", 7, 2, True),
@@ -384,6 +438,21 @@ def test_over_budget_request_raises_before_building(monkeypatch):
     assert kostant._DEFAULT_CACHES[rs] is table
     # lookups inside the built box still answer
     assert partition_q_alpha((2, 1), rs) == recursion_oracle(rs, (2, 1))
+
+
+def test_budget_counts_rows_once_the_height_estimate_passes_it(monkeypatch):
+    # a table that only the cheap height estimate puts over the budget is
+    # built when its rows fit, and refused when they do not
+    rs, top = theta_box("C", 4, 2)
+    roots = rs.positive_root_alpha_coords
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.table_bytes(top, roots) - 1)
+    assert kostant.height_bytes(top, roots) > kostant.TABLE_BUDGET_BYTES
+    with pytest.raises(TableTooLarge):
+        partition_q_alpha(top, rs)
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.TABLE_BUDGET_BYTES + 1)
+    assert partition_q_alpha(top, rs) == recursion_oracle(rs, top)
+    assert kostant._DEFAULT_CACHES[rs].top == top
 
 
 def test_union_over_budget_builds_the_request_alone(monkeypatch):

@@ -343,6 +343,18 @@ def test_box_bound_zero_is_origin(label, rank):
     assert dominant_integral_weights_in_box(rs, 0) == [lattice.zeros(rs.ambient_dim)]
 
 
+@pytest.mark.parametrize("label, rank", [("A", 1), ("A", 3), ("G2", 2), ("E6", 6),
+                                         ("E7", 7), ("E8", 8)])
+def test_box_refuses_a_positive_bound_where_weights_are_not_e_vectors(label, rank):
+    # their dominant weights are not k_1 e_1 + ... + k_r e_r, so the scan
+    # would return the zero weight alone
+    rs = build(label, rank)
+    for bound in (1, Fraction(1, 2), 2):
+        with pytest.raises(ValueError, match="bound must be 0"):
+            dominant_integral_weights_in_box(rs, bound)
+    assert dominant_integral_weights_in_box(rs, 0) == [lattice.zeros(rs.ambient_dim)]
+
+
 def test_build_is_cached():
     assert build("B", 3) is build("B", 3)
     # every spelling of a label is one system with one object
