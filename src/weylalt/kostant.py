@@ -8,11 +8,12 @@ a single int, coefficient by coefficient in planes of equal excess ht(x) - j,
 so a row is only as long as its deepest cell (see BoxTable). The fill starts
 every row at excess 0, the simple roots' closed form q^ht(x), and adds one
 unbounded-knapsack pass per other positive root, one big-int update per row.
-A lookup outside the box builds a new table, unless its estimated size passes
-TABLE_BUDGET_BYTES: then TableTooLarge is raised before anything is
-allocated. Two independent routes are kept as oracles and never merged with
-it: partition_q_recursive, a recursion over a permuted root list, and
-partition_q_bruteforce, an exhaustive search with no memo.
+A lookup outside the box builds a new table, unless height_bytes, its size
+estimated from row heights, passes TABLE_BUDGET_BYTES: then TableTooLarge is
+raised before anything is allocated. Two independent routes are kept as
+oracles and never merged with it: partition_q_recursive, a recursion over a
+permuted root list, and partition_q_bruteforce, an exhaustive search with no
+memo.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from .lattice import Vector
 from .rootsystem import RootSystem, to_simple_root_coords
 
 BRUTE_FORCE_MAX_HEIGHT = 30
-# Over one fill at B8, C8 and E7 at 2 theta and E8 at theta, the growth of
-# the process's VmHWM (14-19 MB, the rows plus the fill's passing ints) reads
-# 0.86-1.04 of height_bytes and 0.93-1.11 of table_bytes. 1 GiB is an eighth
-# of an 8 GB machine; by height_bytes it holds B8 at 3 theta (529 MB) but not
-# E8 at 2 theta (3.4 GB)
+# The budget caps height_bytes, the rows a table will hold, not the peak of a
+# fill: over one fill at B8, C8 and E7 at 2 theta and E8 at theta, the growth
+# of the process's VmHWM (14-19 MB, the rows plus the fill's passing ints)
+# reads 0.86-1.04 of height_bytes, so a table just under the budget may lift
+# the peak a few percent past it. 1 GiB is an eighth of an 8 GB machine; it
+# holds B8 at 3 theta (529 MB) but not E8 at 2 theta (3.4 GB)
 TABLE_BUDGET_BYTES = 1 << 30
 # table_bytes bounds rows one by one up to this many, and blocks of rows past it
 ROW_BOUNDS = 1 << 14
@@ -326,8 +328,9 @@ def height_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
     """Bytes a BoxTable over [0, top] holds at most, from row heights alone:
     the last cell x of a row has excess at most ht(x) - ceil(ht(x)/h), h the
     tallest root in the box. Rows are counted by the height of their prefix,
-    so this costs one pass per axis. It is never above the bytes of rows of
-    ht(top) + 1 full planes each."""
+    so this costs one pass per axis. It is the estimate TABLE_BUDGET_BYTES
+    is held against, and never above the bytes of rows of ht(top) + 1 full
+    planes each."""
     _, bits, tallest = _layout(top, roots)
     plane = (top[-1] + 1) * bits
     counts = [1]  # counts[s]: prefixes of height s over the axes so far
@@ -345,7 +348,10 @@ def table_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
     _fewest_parts(x). Excess only grows with x, so a box of more than
     ROW_BOUNDS rows is cut into blocks of rows, halving its longest prefix
     axis until few enough are left, and each block is counted at its top
-    corner."""
+    corner. It reads within 1.2x of the bytes held where height_bytes reads
+    up to 1.5x, but at B4 and A5 at 6 theta it costs as much as the fill
+    itself, or twice as much; so the budget checks height_bytes, and the
+    tests hold the fill's rows to this bound."""
     inbox, bits, tallest = _layout(top, roots)
     plane = (top[-1] + 1) * bits
     fewest = _fewest_parts(inbox, tallest, len(top))
@@ -359,13 +365,6 @@ def table_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
         x = tuple(c for c, _ in block) + (top[-1],)
         total += prod(n for _, n in block) * _row_bytes(sum(x) - fewest(x), plane)
     return total
-
-
-def _estimate(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
-    """height_bytes when that fits TABLE_BUDGET_BYTES, else the smaller of it
-    and the dearer table_bytes."""
-    size = height_bytes(top, roots)
-    return size if size <= TABLE_BUDGET_BYTES else min(size, table_bytes(top, roots))
 
 
 # RootSystem is eq=False, so each build() instance is its own key
@@ -391,9 +390,9 @@ def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
             union = tuple(map(max, table.top, coords))
             cells = prod(t + 1 for t in union)
             if (cells <= len(table) + prod(c + 1 for c in coords)
-                    and _estimate(union, roots) <= TABLE_BUDGET_BYTES):
+                    and height_bytes(union, roots) <= TABLE_BUDGET_BYTES):
                 top = union
-        size = _estimate(top, roots)
+        size = height_bytes(top, roots)
         if size > TABLE_BUDGET_BYTES:
             raise TableTooLarge(
                 f"P_q table over the box {list(top)} has "

@@ -357,8 +357,8 @@ def theta_box(label, rank, k):
     ("B", 4, 6), ("A", 5, 6), ("C", 4, 2), ("G2", 2, 3), ("A", 1, 5),
 ])
 def test_table_bytes_bounds_the_rows(label, rank, k):
-    # the estimate counts every row at full length, a list slot and an int
-    # header each; rows of low height are shorter
+    # the row-by-row estimate counts a list slot, an int header and planes
+    # up to a bound on the largest excess of each row's last cell
     rs, top = theta_box(label, rank, k)
     table = kostant.BoxTable(top, rs.positive_root_alpha_coords)
     held = sum(sys.getsizeof(row) + 8 for row in table.rows)
@@ -440,19 +440,33 @@ def test_over_budget_request_raises_before_building(monkeypatch):
     assert partition_q_alpha((2, 1), rs) == recursion_oracle(rs, (2, 1))
 
 
-def test_budget_counts_rows_once_the_height_estimate_passes_it(monkeypatch):
-    # a table that only the cheap height estimate puts over the budget is
-    # built when its rows fit, and refused when they do not
+def test_budget_checks_the_height_estimate(monkeypatch):
+    # the budget is held against height_bytes alone: a table is refused one
+    # byte under it, though its rows fit, and built at it
     rs, top = theta_box("C", 4, 2)
     roots = rs.positive_root_alpha_coords
     monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
-    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.table_bytes(top, roots) - 1)
-    assert kostant.height_bytes(top, roots) > kostant.TABLE_BUDGET_BYTES
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.height_bytes(top, roots) - 1)
+    assert kostant.table_bytes(top, roots) <= kostant.TABLE_BUDGET_BYTES
     with pytest.raises(TableTooLarge):
         partition_q_alpha(top, rs)
     monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.TABLE_BUDGET_BYTES + 1)
     assert partition_q_alpha(top, rs) == recursion_oracle(rs, top)
     assert kostant._DEFAULT_CACHES[rs].top == top
+
+
+@pytest.mark.parametrize("label, rank, k, fits", [
+    ("B", 4, 6, True), ("A", 5, 6, True), ("C", 4, 2, True),
+    ("E8", 8, 1, True), ("B", 8, 2, True), ("C", 8, 2, True), ("E7", 7, 2, True),
+    ("B", 8, 3, True), ("E8", 8, 2, False), ("A", 3, 1000, False),
+])
+def test_height_estimate_at_multiples_of_theta(label, rank, k, fits):
+    # by the estimate the budget checks, the benchmark's mult boxes, the
+    # rank-7 and rank-8 boxes at 2 theta and B8 at 3 theta fit; E8 at
+    # 2 theta and A3 at 1000 theta do not
+    rs, top = theta_box(label, rank, k)
+    estimate = kostant.height_bytes(top, rs.positive_root_alpha_coords)
+    assert (estimate <= kostant.TABLE_BUDGET_BYTES) == fits
 
 
 def test_union_over_budget_builds_the_request_alone(monkeypatch):
