@@ -8,17 +8,17 @@ a single int, coefficient by coefficient in planes of equal excess ht(x) - j,
 so a row is only as long as its deepest cell (see BoxTable). The fill starts
 every row at excess 0, the simple roots' closed form q^ht(x), and adds one
 unbounded-knapsack pass per other positive root, one big-int update per row.
-A lookup outside the box builds a new table, unless height_bytes, its size
-estimated from row heights, passes TABLE_BUDGET_BYTES: then TableTooLarge is
-raised before anything is allocated. Two independent routes are kept as
-oracles and never merged with it: partition_q_recursive, a recursion over a
-permuted root list, and partition_q_bruteforce, an exhaustive search with no
-memo.
+A lookup outside the box builds a new table, unless height_bytes, the one
+estimate of a table's size, taken from its row heights, passes
+TABLE_BUDGET_BYTES: then TableTooLarge is raised before anything is
+allocated. Two independent routes are kept as oracles and never merged with
+it: partition_q_recursive, a recursion over a permuted root list, and
+partition_q_bruteforce, an exhaustive search with no memo.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate
 from math import prod
 from operator import le, mul
 from typing import Iterable, Sequence
@@ -28,15 +28,13 @@ from .lattice import Vector
 from .rootsystem import RootSystem, to_simple_root_coords
 
 BRUTE_FORCE_MAX_HEIGHT = 30
-# The budget caps height_bytes, the rows a table will hold, not the peak of a
-# fill: over one fill at B8, C8 and E7 at 2 theta and E8 at theta, the growth
-# of the process's VmHWM (14-19 MB, the rows plus the fill's passing ints)
-# reads 0.86-1.04 of height_bytes, so a table just under the budget may lift
-# the peak a few percent past it. 1 GiB is an eighth of an 8 GB machine; it
-# holds B8 at 3 theta (529 MB) but not E8 at 2 theta (3.4 GB)
+# The budget caps height_bytes, which reads 1.0-1.5x the rows a table will
+# hold, not the peak of a fill: over one fill at B8, C8 and E7 at 2 theta and
+# E8 at theta, the growth of the process's VmHWM (14-19 MB, the rows plus the
+# fill's passing ints) reads 0.86-1.04 of height_bytes, so a table just under
+# the budget may lift the peak a few percent past it. 1 GiB is an eighth of an
+# 8 GB machine; it holds B8 at 3 theta (529 MB) but not E8 at 2 theta (3.4 GB)
 TABLE_BUDGET_BYTES = 1 << 30
-# table_bytes bounds rows one by one up to this many, and blocks of rows past it
-ROW_BOUNDS = 1 << 14
 
 
 class QPolynomial:
@@ -299,38 +297,14 @@ def _layout(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]
     return inbox, bits, max(map(sum, inbox), default=1)
 
 
-def _row_bytes(excess: int, plane: int) -> int:
-    """A list slot, an int header and 4 bytes per 30-bit digit of a row of
-    excess + 1 planes."""
-    return 32 + 4 * -(-(excess + 1) * plane // 30)
-
-
-def _fewest_parts(inbox: list[tuple[int, ...]], tallest: int, rank: int):
-    """x -> a lower bound on the number of roots of inbox summing to x.
-
-    Each f below is subadditive with f(beta) <= c on every root of inbox, so
-    k roots sum to an x with f(x) <= k*c, and k >= ceil(f(x)/c): the height,
-    with c = tallest; the rises x_0 + sum of max(0, x_i - x_(i-1)), with c
-    their largest value on a root, which count the intervals of type A
-    exactly; and x_i - x_j with c = 1 wherever no root has beta_i - beta_j
-    above 1."""
-    def rises(x):
-        return x[0] + sum(max(0, b - a) for a, b in zip(x, x[1:]))
-
-    most = max(map(rises, inbox), default=1)
-    diffs = [(i, j) for i in range(rank) for j in range(rank)
-             if i != j and all(beta[i] - beta[j] <= 1 for beta in inbox)]
-    return lambda x: max(-(-sum(x) // tallest), -(-rises(x) // most),
-                         *(x[i] - x[j] for i, j in diffs))
-
-
 def height_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
     """Bytes a BoxTable over [0, top] holds at most, from row heights alone:
     the last cell x of a row has excess at most ht(x) - ceil(ht(x)/h), h the
-    tallest root in the box. Rows are counted by the height of their prefix,
-    so this costs one pass per axis. It is the estimate TABLE_BUDGET_BYTES
-    is held against, and never above the bytes of rows of ht(top) + 1 full
-    planes each."""
+    tallest root in the box, and a row of excess e costs a list slot, an int
+    header and 4 bytes per 30-bit digit of e + 1 planes. Rows are counted by
+    the height of their prefix, so this costs one pass per axis. It is the
+    estimate TABLE_BUDGET_BYTES is held against, and never above the bytes of
+    rows of ht(top) + 1 full planes each."""
     _, bits, tallest = _layout(top, roots)
     plane = (top[-1] + 1) * bits
     counts = [1]  # counts[s]: prefixes of height s over the axes so far
@@ -338,32 +312,10 @@ def height_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
         cum = [0, *accumulate(counts)]
         n = len(counts)
         counts = [cum[min(s, n - 1) + 1] - cum[max(s - t, 0)] for s in range(n + t)]
-    return sum(c * _row_bytes(ht - -(-ht // tallest), plane)
-               for ht, c in enumerate(counts, start=top[-1]))
-
-
-def table_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
-    """Bytes a BoxTable over [0, top] holds at most, row by row: a row's
-    last cell x has the largest excess in the row, at most ht(x) minus
-    _fewest_parts(x). Excess only grows with x, so a box of more than
-    ROW_BOUNDS rows is cut into blocks of rows, halving its longest prefix
-    axis until few enough are left, and each block is counted at its top
-    corner. It reads within 1.2x of the bytes held where height_bytes reads
-    up to 1.5x, but at B4 and A5 at 6 theta it costs as much as the fill
-    itself, or twice as much; so the budget checks height_bytes, and the
-    tests hold the fill's rows to this bound."""
-    inbox, bits, tallest = _layout(top, roots)
-    plane = (top[-1] + 1) * bits
-    fewest = _fewest_parts(inbox, tallest, len(top))
-    axes = [[(x, 1) for x in range(t + 1)] for t in top[:-1]]  # (corner, rows)
-    while prod(map(len, axes)) > ROW_BOUNDS:
-        axis = max(axes, key=len)
-        axis[:] = [(pair[-1][0], sum(n for _, n in pair))
-                   for pair in (axis[k:k + 2] for k in range(0, len(axis), 2))]
     total = 0
-    for block in product(*axes):
-        x = tuple(c for c, _ in block) + (top[-1],)
-        total += prod(n for _, n in block) * _row_bytes(sum(x) - fewest(x), plane)
+    for ht, c in enumerate(counts, start=top[-1]):
+        planes = ht - -(-ht // tallest) + 1
+        total += c * (32 + 4 * -(-planes * plane // 30))
     return total
 
 
@@ -388,11 +340,12 @@ def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
         top = coords
         if table is not None:
             union = tuple(map(max, table.top, coords))
-            cells = prod(t + 1 for t in union)
-            if (cells <= len(table) + prod(c + 1 for c in coords)
-                    and height_bytes(union, roots) <= TABLE_BUDGET_BYTES):
+            if prod(t + 1 for t in union) <= len(table) + prod(c + 1 for c in coords):
                 top = union
         size = height_bytes(top, roots)
+        if size > TABLE_BUDGET_BYTES and top != coords:
+            top = coords
+            size = height_bytes(top, roots)
         if size > TABLE_BUDGET_BYTES:
             raise TableTooLarge(
                 f"P_q table over the box {list(top)} has "

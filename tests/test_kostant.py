@@ -354,63 +354,38 @@ def theta_box(label, rank, k):
 
 
 @pytest.mark.parametrize("label, rank, k", [
-    ("B", 4, 6), ("A", 5, 6), ("C", 4, 2), ("G2", 2, 3), ("A", 1, 5),
-])
-def test_table_bytes_bounds_the_rows(label, rank, k):
-    # the row-by-row estimate counts a list slot, an int header and planes
-    # up to a bound on the largest excess of each row's last cell
-    rs, top = theta_box(label, rank, k)
-    table = kostant.BoxTable(top, rs.positive_root_alpha_coords)
-    held = sum(sys.getsizeof(row) + 8 for row in table.rows)
-    estimate = kostant.table_bytes(top, rs.positive_root_alpha_coords)
-    assert held <= estimate <= 1.2 * held
-
-
-@pytest.mark.parametrize("label, rank, k", [
     ("B", 3, 2), ("C", 3, 2), ("G2", 2, 2), ("A", 3, 3), ("B", 4, 6), ("A", 5, 6),
     ("C", 4, 2), ("G2", 2, 3), ("D", 4, 2), ("F4", 4, 1), ("E6", 6, 1), ("A", 1, 5),
 ])
 def test_rows_end_within_their_excess_bounds(label, rank, k):
-    # a row holds no plane past the largest excess of its last cell, which
-    # _fewest_parts and the height bound both cap; the top row of a theta
-    # multiple reaches the height bound
+    # a row holds no plane past the height bound on the excess of its last
+    # cell x, ht(x) - ceil(ht(x)/h); the top row of a theta multiple reaches
+    # it, and height_bytes, which sums those bounds, reads within 1.6x of the
+    # rows held (a list slot and the int each)
     rs, top = theta_box(label, rank, k)
     roots = rs.positive_root_alpha_coords
     table = kostant.BoxTable(top, roots)
-    inbox, _, tallest = kostant._layout(top, roots)
-    fewest = kostant._fewest_parts(inbox, tallest, rank)
     for prefix in itertools.product(*(range(t + 1) for t in top[:-1])):
         x = prefix + (top[-1],)
         row = table.rows[sum(map(mul, x, table.strides))]
         by_height = sum(x) - -(-sum(x) // table.tallest)
-        assert sum(x) - fewest(x) <= by_height
-        assert row.bit_length() <= (sum(x) - fewest(x) + 1) * table.plane, x
+        assert row.bit_length() <= (by_height + 1) * table.plane, x
     assert table.rows[-1].bit_length() > by_height * table.plane
+    held = sum(sys.getsizeof(row) + 8 for row in table.rows)
+    assert held <= kostant.height_bytes(top, roots) <= 1.6 * held
 
 
 @pytest.mark.parametrize("label, rank, k", [
     ("B", 4, 6), ("A", 5, 6), ("C", 4, 2), ("G2", 2, 3), ("A", 1, 5), ("E6", 6, 1),
 ])
 def test_height_bytes_bounds_the_row_estimate(label, rank, k):
-    # the cheap estimate is never below the row-by-row one, nor above rows
-    # of ht(top) + 1 full planes each
+    # the estimate is never above rows of ht(top) + 1 full planes each, so no
+    # box that fits at full row length is refused
     rs, top = theta_box(label, rank, k)
     roots = rs.positive_root_alpha_coords
     plane = (top[-1] + 1) * kostant.coefficient_bound(top, roots).bit_length()
     full = prod(t + 1 for t in top[:-1]) * (32 + 4 * -(-(sum(top) + 1) * plane // 30))
-    assert kostant.table_bytes(top, roots) <= kostant.height_bytes(top, roots) <= full
-
-
-def test_table_bytes_blocks_of_rows_bound_them(monkeypatch):
-    # past ROW_BOUNDS rows, blocks counted at their top corner still bound
-    # the rows, just more loosely
-    rs, top = theta_box("A", 5, 6)
-    roots = rs.positive_root_alpha_coords
-    exact = kostant.table_bytes(top, roots)
-    monkeypatch.setattr(kostant, "ROW_BOUNDS", 40)
-    blocked = kostant.table_bytes(top, roots)
-    table = kostant.BoxTable(top, roots)
-    assert sum(sys.getsizeof(row) + 8 for row in table.rows) <= exact < blocked
+    assert kostant.height_bytes(top, roots) <= full
 
 
 @pytest.mark.parametrize("label, rank, k, fits", [
@@ -418,12 +393,28 @@ def test_table_bytes_blocks_of_rows_bound_them(monkeypatch):
     ("E8", 8, 1, True), ("B", 8, 2, True), ("C", 8, 2, True), ("E7", 7, 2, True),
     ("E8", 8, 2, False), ("A", 3, 1000, False),
 ])
-def test_table_budget_at_multiples_of_theta(label, rank, k, fits):
-    # the benchmark's mult boxes and the rank-7 and rank-8 boxes at 2 theta
-    # fit; E8 at 2 theta (14,189,175 cells) and A3 at 1000 theta do not
+def test_table_budget_at_multiples_of_theta(monkeypatch, label, rank, k, fits):
+    # a lookup with no table yet builds the benchmark's mult boxes and the
+    # rank-7 and rank-8 boxes at 2 theta, and refuses E8 at 2 theta
+    # (14,189,175 cells) and A3 at 1000 theta; BoxTable is stubbed, so
+    # nothing is filled
+    class Unfilled:
+        def __init__(self, top, roots):
+            self.top = top
+
+        def lookup(self, coords):
+            return QPolynomial.zero()
+
     rs, top = theta_box(label, rank, k)
-    estimate = kostant.table_bytes(top, rs.positive_root_alpha_coords)
-    assert (estimate <= kostant.TABLE_BUDGET_BYTES) == fits
+    monkeypatch.setitem(kostant._DEFAULT_CACHES, rs, None)
+    monkeypatch.setattr(kostant, "BoxTable", Unfilled)
+    if fits:
+        kostant._table_lookup(top, rs)
+        assert kostant._DEFAULT_CACHES[rs].top == top
+    else:
+        with pytest.raises(TableTooLarge):
+            kostant._table_lookup(top, rs)
+        assert kostant._DEFAULT_CACHES[rs] is None
 
 
 def test_over_budget_request_raises_before_building(monkeypatch):
@@ -432,7 +423,7 @@ def test_over_budget_request_raises_before_building(monkeypatch):
     partition_q_alpha((2, 2), rs)
     table = kostant._DEFAULT_CACHES[rs]
     monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES",
-                        kostant.table_bytes((3, 3), rs.positive_root_alpha_coords) - 1)
+                        kostant.height_bytes((3, 3), rs.positive_root_alpha_coords) - 1)
     with pytest.raises(TableTooLarge, match=r"box \[3, 3\] has 16 cells"):
         partition_q_alpha((3, 3), rs)
     assert kostant._DEFAULT_CACHES[rs] is table
@@ -442,12 +433,11 @@ def test_over_budget_request_raises_before_building(monkeypatch):
 
 def test_budget_checks_the_height_estimate(monkeypatch):
     # the budget is held against height_bytes alone: a table is refused one
-    # byte under it, though its rows fit, and built at it
+    # byte under it and built at it
     rs, top = theta_box("C", 4, 2)
     roots = rs.positive_root_alpha_coords
     monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
     monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.height_bytes(top, roots) - 1)
-    assert kostant.table_bytes(top, roots) <= kostant.TABLE_BUDGET_BYTES
     with pytest.raises(TableTooLarge):
         partition_q_alpha(top, rs)
     monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.TABLE_BUDGET_BYTES + 1)
@@ -476,10 +466,34 @@ def test_union_over_budget_builds_the_request_alone(monkeypatch):
     roots = rs.positive_root_alpha_coords
     monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
     partition_q_alpha((3, 3), rs)
-    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.table_bytes((4, 2), roots))
-    assert kostant.table_bytes((4, 3), roots) > kostant.TABLE_BUDGET_BYTES
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.height_bytes((4, 2), roots))
+    assert kostant.height_bytes((4, 3), roots) > kostant.TABLE_BUDGET_BYTES
     assert partition_q_alpha((4, 2), rs) == recursion_oracle(rs, (4, 2))
     assert kostant._DEFAULT_CACHES[rs].top == (4, 2)
+
+
+def test_lookup_estimates_each_box_once(monkeypatch):
+    # a union that fits is estimated once and built; one over the budget is
+    # estimated once before the request alone is
+    rs = build("B", 2)
+    roots = rs.positive_root_alpha_coords
+    estimated = []
+    height_bytes = kostant.height_bytes
+
+    def recorded(top, roots):
+        estimated.append(top)
+        return height_bytes(top, roots)
+
+    monkeypatch.setattr(kostant, "height_bytes", recorded)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    partition_q_alpha((3, 3), rs)
+    partition_q_alpha((4, 2), rs)
+    assert estimated == [(3, 3), (4, 3)]
+    assert kostant._DEFAULT_CACHES[rs].top == (4, 3)
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", height_bytes((4, 4), roots))
+    partition_q_alpha((5, 0), rs)
+    assert estimated == [(3, 3), (4, 3), (5, 3), (5, 0)]
+    assert kostant._DEFAULT_CACHES[rs].top == (5, 0)
 
 
 def test_partition_coefficients_are_nonnegative():
