@@ -353,15 +353,27 @@ def theta_box(label, rank, k):
     return rs, tuple(k * int(c) for c in to_simple_root_coords(highest_root(rs), rs))
 
 
-@pytest.mark.parametrize("label, rank, k", [
+THETA_BOXES = [
     ("B", 3, 2), ("C", 3, 2), ("G2", 2, 2), ("A", 3, 3), ("B", 4, 6), ("A", 5, 6),
     ("C", 4, 2), ("G2", 2, 3), ("D", 4, 2), ("F4", 4, 1), ("E6", 6, 1), ("A", 1, 5),
-])
+]
+
+
+@pytest.mark.parametrize("label, rank, k", THETA_BOXES)
+def test_table_bytes_bounds_the_rows(label, rank, k):
+    # height_bytes, the estimate the table budget reads, is never below the
+    # rows a table holds (a list slot and the int each) and within 1.6x of them
+    rs, top = theta_box(label, rank, k)
+    roots = rs.positive_root_alpha_coords
+    table = kostant.BoxTable(top, roots)
+    held = sum(sys.getsizeof(row) + 8 for row in table.rows)
+    assert held <= kostant.height_bytes(top, roots) <= 1.6 * held
+
+
+@pytest.mark.parametrize("label, rank, k", THETA_BOXES)
 def test_rows_end_within_their_excess_bounds(label, rank, k):
     # a row holds no plane past the height bound on the excess of its last
-    # cell x, ht(x) - ceil(ht(x)/h); the top row of a theta multiple reaches
-    # it, and height_bytes, which sums those bounds, reads within 1.6x of the
-    # rows held (a list slot and the int each)
+    # cell x, ht(x) - ceil(ht(x)/h); the top row of a theta multiple reaches it
     rs, top = theta_box(label, rank, k)
     roots = rs.positive_root_alpha_coords
     table = kostant.BoxTable(top, roots)
@@ -371,8 +383,6 @@ def test_rows_end_within_their_excess_bounds(label, rank, k):
         by_height = sum(x) - -(-sum(x) // table.tallest)
         assert row.bit_length() <= (by_height + 1) * table.plane, x
     assert table.rows[-1].bit_length() > by_height * table.plane
-    held = sum(sys.getsizeof(row) + 8 for row in table.rows)
-    assert held <= kostant.height_bytes(top, roots) <= 1.6 * held
 
 
 @pytest.mark.parametrize("label, rank, k", [
