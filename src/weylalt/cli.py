@@ -18,22 +18,25 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
+from typing import NamedTuple
 
 from . import lattice
 from .combinatorics import (fibonacci, nonconsecutive_subsets,
                             verify_alternating_identity)
-from .errors import CapExceeded, TableTooLarge, WeylaltError
+from .errors import CapExceeded, NotInRootSpan, TableTooLarge, WeylaltError
 from .kostant import QPolynomial, partition_q, partition_q_bruteforce
-from .multiplicity import (alternating_sum, alternation_set,
-                           predicted_alternation_set_B,
+from .multiplicity import (Start, alternating_sum, alternation_set,
+                           integer_start, predicted_alternation_set_B,
                            predicted_count_by_length_B, predicted_pq_B,
-                           q_multiplicity, q_multiplicity_terms,
+                           q_multiplicity, q_multiplicity_terms, start_terms,
                            weight_diagram)
 from .rootsystem import (TYPES, build, dominant_integral_weights_in_box,
                          fundamental_weight, highest_root, is_dominant,
                          sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
-                         to_fundamental_coords)
+                         to_fundamental_coords, to_simple_root_coords)
 from .weyl import DEFAULT_CAP, group_order, orbit
 
 EXIT_OK = 0
@@ -156,12 +159,44 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_weight(text: str, rs) -> lattice.Vector:
-    """Evaluate a weight expression in the ambient coordinates of rs."""
+class ParsedWeight(NamedTuple):
+    """A weight expression as integer fundamental-weight coordinates over one
+    denominator, coords / denominator. eps is the ambient sum of its eps:
+    terms, None when it has none, kept for the root-span test."""
+
+    coords: tuple[int, ...]
+    denominator: int
+    eps: lattice.Vector | None
+
+
+def _named_term(m: re.Match, rs) -> tuple[int, ...]:
+    """Fundamental coordinates of a named term, all integral (Humphreys 13):
+    a unit vector, C theta, the row sums of C, or zeros."""
+    body = m.group("body")
+    if body == "highest-root":
+        theta = max(rs.positive_root_alpha_coords, key=sum)
+        return tuple(sum(map(mul, row, theta)) for row in rs.cartan_matrix)
+    if body == "sum-simple":
+        return tuple(map(sum, rs.cartan_matrix))
+    if body == "0":
+        return (0,) * rs.rank
+    i = int(m.group("index"))
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"fundamental weight index {i} out of range for {rs}")
+    return tuple(int(j == i) for j in range(1, rs.rank + 1))
+
+
+def parse_weight(text: str, rs) -> ParsedWeight:
+    """Evaluate a weight expression in the fundamental coordinates of rs.
+
+    Named terms add integers. The eps: terms are summed in ambient
+    coordinates and converted once, by their coroot pairings.
+    """
     squeezed = "".join(str(text).split())
     if not squeezed:
         raise ValueError("empty weight expression")
-    total = lattice.zeros(rs.ambient_dim)
+    named = (0,) * rs.rank
+    eps = None
     pos = 0
     while pos < len(squeezed):
         m = _TERM_RE.match(squeezed, pos)
@@ -169,29 +204,40 @@ def parse_weight(text: str, rs) -> lattice.Vector:
             raise ValueError(f"cannot parse weight expression at {squeezed[pos:]!r}")
         if pos > 0 and not m.group("sign"):
             raise ValueError(f"missing + or - before {squeezed[pos:]!r}")
-        body = m.group("body")
-        if body == "0":
-            term = lattice.zeros(rs.ambient_dim)
-        elif body == "highest-root":
-            term = highest_root(rs)
-        elif body == "sum-simple":
-            term = sum_of_simple_roots(rs)
-        elif m.group("index") is not None:
-            term = fundamental_weight(rs, int(m.group("index")))
+        combine = sub if m.group("sign") == "-" else add
+        if m.group("coords") is None:
+            named = tuple(map(combine, named, _named_term(m, rs)))
         else:
             try:
                 parts = [Fraction(p) for p in m.group("coords").split(",")]
             except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {body!r}") from None
+                raise ValueError(f"zero denominator in {m.group('body')!r}") from None
             if len(parts) != rs.ambient_dim:
                 raise ValueError(f"eps: needs {rs.ambient_dim} coordinates "
                                  f"for {rs}, got {len(parts)}")
-            term = lattice.vector(parts)
-        if m.group("sign") == "-":
-            term = lattice.neg(term)
-        total = lattice.add(total, term)
+            eps = tuple(map(combine, eps or lattice.zeros(rs.ambient_dim), parts))
         pos = m.end()
-    return total
+    if eps is None:
+        return ParsedWeight(named, 1, None)
+    pairings = [rs.coroot_pairing(eps, i) for i in range(1, rs.rank + 1)]
+    d = lcm(*(p.denominator for p in pairings))
+    return ParsedWeight(tuple(d * c + int(d * p) for c, p in zip(named, pairings)),
+                        d, eps)
+
+
+def _walk_start(lam: ParsedWeight, mu: ParsedWeight, rs) -> Start | None:
+    """The walk's start for two parsed weights; None when lambda - mu is
+    outside the root span. Named terms lie in the span, so only the eps:
+    parts are tested."""
+    if lam.eps is not None or mu.eps is not None:
+        zero = lattice.zeros(rs.ambient_dim)
+        try:
+            to_simple_root_coords(lattice.sub(lam.eps or zero, mu.eps or zero), rs)
+        except NotInRootSpan:
+            return None
+    d = lcm(lam.denominator, mu.denominator)
+    return integer_start([c * (d // lam.denominator) for c in lam.coords],
+                         [c * (d // mu.denominator) for c in mu.coords], d, rs)
 
 
 def _resolve_cap(args) -> int:
@@ -231,7 +277,7 @@ def _alternation_terms(args) -> tuple[dict, list, list[dict]]:
     lam = parse_weight(args.lam, rs)
     mu = parse_weight(args.mu, rs)
     cap = _resolve_cap(args)
-    terms = q_multiplicity_terms(lam, mu, rs, cap)
+    terms = start_terms(_walk_start(lam, mu, rs), rs, cap)
     records = [
         {"word": str(element),
          "length": element.length,

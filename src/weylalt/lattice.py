@@ -61,6 +61,24 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
+def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination, exactly."""
+    work = [vector(row) for row in m]
+    det = Fraction(1)
+    for col in range(len(work)):
+        pivot = next((r for r in range(col, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, len(work)):
+            f = work[r][col] / work[col][col]
+            work[r] = tuple(x - f * y for x, y in zip(work[r], work[col]))
+    return det
+
+
 def invert(m: Sequence[Sequence[Fraction]]) -> Matrix:
     """Invert a square matrix by Gauss-Jordan elimination, exactly.
 

@@ -18,13 +18,20 @@ word. When lambda+rho is dominant, <sigma(lambda+rho), alpha_i^vee> =
 lowers xi and the walk stops at the first negative coordinate: it visits only
 elements with xi >= 0. Regularity of lambda+rho is not needed. When
 lambda+rho is not dominant the same walk runs over all of W without pruning.
+
+The walk starts from integers: xi_e and the pairings of lambda+rho, scaled
+by one common denominator. The command line builds them from integer
+fundamental-weight coordinates with the integer adjugate of C
+(integer_start); the ambient entries below build them with one Fraction
+solve (_ambient_start).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable
+from operator import add, mul, sub
+from typing import Iterable, Sequence
 
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
@@ -56,22 +63,51 @@ class WeightDiagramEntry:
     multiplicity: int
 
 
-def _survivor_terms(lam: Vector, mu: Vector, rs: RootSystem, cap: int):
-    """(element, xi simple-root coordinates) for every survivor of (lambda, mu).
+# The walk's start: xi_e and the coroot pairings of lambda+rho, both scaled
+# to integers by one common positive scale, and that scale.
+Start = tuple[tuple[int, ...], tuple[int, ...], int]
 
-    Coordinates are scaled by the common denominator of the input, so the
-    walk runs on integers for eps: weights too. lambda - mu outside the root
-    span leaves no survivors.
+
+def integer_start(lam: Sequence[int], mu: Sequence[int], denominator: int,
+                  rs: RootSystem) -> Start:
+    """The walk's start for lambda and mu given as integer fundamental-weight
+    coordinates over one denominator d.
+
+    xi_e = C^-1 (lambda - mu) / d = adj(C) (lambda - mu) / (det(C) d), and
+    the pairings of lambda+rho are (lambda + d) / d, so the scale det(C) d
+    makes both integer without a Fraction.
     """
-    check_cap(rs, cap)
+    det = rs.cartan_determinant
+    difference = tuple(map(sub, lam, mu))
+    top = tuple(sum(map(mul, row, difference)) for row in rs.cartan_adjugate)
+    return top, tuple(det * (c + denominator) for c in lam), det * denominator
+
+
+def _ambient_start(lam: Vector, mu: Vector, rs: RootSystem) -> Start | None:
+    """The walk's start for ambient lambda and mu; None when lambda - mu is
+    outside the root span, which leaves no survivors."""
     try:
         top = to_simple_root_coords(lattice.sub(lam, mu), rs)
     except NotInRootSpan:
-        return []
-    rank = rs.rank
+        return None
     shifted = lattice.add(lam, rs.rho)
-    pairings = tuple(rs.coroot_pairing(shifted, i) for i in range(1, rank + 1))
+    pairings = tuple(rs.coroot_pairing(shifted, i) for i in range(1, rs.rank + 1))
     scale = lcm(*(c.denominator for c in top + pairings))
+    return (tuple(int(c * scale) for c in top),
+            tuple(int(c * scale) for c in pairings), scale)
+
+
+def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
+    """(element, xi simple-root coordinates) for every survivor of a start.
+
+    The walk runs on the scaled integers of the start, so eps: weights walk
+    on integers too; a start of None has no survivors.
+    """
+    check_cap(rs, cap)
+    if start is None:
+        return []
+    top, pairings, scale = start
+    rank = rs.rank
     # column i of the Cartan matrix: alpha_i in fundamental coordinates
     columns = tuple(tuple(row[i] for row in rs.cartan_matrix) for i in range(rank))
     prune = all(c >= 0 for c in pairings)
@@ -79,8 +115,7 @@ def _survivor_terms(lam: Vector, mu: Vector, rs: RootSystem, cap: int):
         return []  # xi only decreases along the walk
 
     survivors = []
-    stack = [((), (1,) * rank, tuple(int(c * scale) for c in pairings),
-              tuple(int(c * scale) for c in top))]
+    stack = [((), (1,) * rank, pairings, top)]
     while stack:
         word, rho_image, image, xi = stack.pop()
         if all(c >= 0 and c % scale == 0 for c in xi):
@@ -105,23 +140,32 @@ def _survivor_terms(lam: Vector, mu: Vector, rs: RootSystem, cap: int):
 def alternation_set(lam: Vector, mu: Vector, rs: RootSystem,
                     cap: int = DEFAULT_CAP) -> AlternationSet:
     """The Weyl alternation set of (lambda, mu)."""
-    terms = _survivor_terms(lam, mu, rs, cap)
+    terms = _survivor_terms(_ambient_start(lam, mu, rs), rs, cap)
     return AlternationSet(lam, mu, frozenset(element for element, _ in terms))
 
 
 def alternating_sum(terms: Iterable[tuple[WeylElement, QPolynomial]]) -> QPolynomial:
     """Sum of (-1)^l(sigma) P_q over (sigma, P_q) pairs."""
-    total = QPolynomial.zero()
+    sums = ([], [])  # coefficients of the even-length terms, then the odd
     for element, value in terms:
-        total = total - value if element.length % 2 else total + value
-    return total
+        total, coeffs = sums[element.length % 2], value.coeffs
+        if len(total) < len(coeffs):
+            total.extend([0] * (len(coeffs) - len(total)))
+        total[:len(coeffs)] = map(add, total, coeffs)
+    even, odd = sums
+    width = max(len(even), len(odd))
+    return QPolynomial(map(sub, even + [0] * (width - len(even)),
+                           odd + [0] * (width - len(odd))))
 
 
 def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
                    cap: int = DEFAULT_CAP) -> QPolynomial:
     """Alternating sum of P_q over the alternation set; may have negative
-    coefficients term by term, returned as computed."""
-    terms = _survivor_terms(lam, mu, rs, cap)
+    coefficients term by term, returned as computed. For dominant lambda and
+    mu the sum is Lusztig's q-analog of weight multiplicity, the
+    Kostka-Foulkes polynomial K_lambda,mu(q) (Kato 1982), whose coefficients
+    are nonnegative."""
+    terms = _survivor_terms(_ambient_start(lam, mu, rs), rs, cap)
     return alternating_sum((element, partition_q_alpha(coords, rs))
                            for element, coords in terms)
 
@@ -132,15 +176,22 @@ def multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
     return q_multiplicity(lam, mu, rs, cap).evaluate(1)
 
 
-def q_multiplicity_terms(lam: Vector, mu: Vector, rs: RootSystem,
-                         cap: int = DEFAULT_CAP
-                         ) -> list[tuple[WeylElement, QPolynomial]]:
-    """Per-element P_q values over the alternation set, sign not applied."""
-    terms = _survivor_terms(lam, mu, rs, cap)
+def start_terms(start: Start | None, rs: RootSystem, cap: int = DEFAULT_CAP
+                ) -> list[tuple[WeylElement, QPolynomial]]:
+    """Per-element P_q values over the alternation set of a walk start,
+    sign not applied, by length and then word."""
+    terms = _survivor_terms(start, rs, cap)
     return sorted(
         ((element, partition_q_alpha(coords, rs)) for element, coords in terms),
         key=lambda pair: (pair[0].length, pair[0].word),
     )
+
+
+def q_multiplicity_terms(lam: Vector, mu: Vector, rs: RootSystem,
+                         cap: int = DEFAULT_CAP
+                         ) -> list[tuple[WeylElement, QPolynomial]]:
+    """Per-element P_q values over the alternation set, sign not applied."""
+    return start_terms(_ambient_start(lam, mu, rs), rs, cap)
 
 
 def weight_diagram(lam: Vector, rs: RootSystem,

@@ -23,7 +23,10 @@ The Cartan matrix convention is C[i][j] = <alpha_j, alpha_i^vee>
 = 2(alpha_i, alpha_j)/(alpha_i, alpha_i), so the fundamental coordinates of a
 vector w (its coroot pairings <w, alpha_i^vee>) are C applied to its
 simple-root coordinates, and the simple-root coordinates are C^-1 applied to
-the coroot pairings. The fundamental weights are the columns of C^-1.
+the coroot pairings. The fundamental weights are the columns of C^-1. build
+also keeps C^-1 = adj(C) / det(C) as the integer adjugate and determinant, so
+integer fundamental coordinates go to simple-root coordinates without
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ class RootSystem:
     positive_root_alpha_coords: tuple[tuple[int, ...], ...]
     inverse_cartan: Matrix = field(repr=False)
     simple_coroots: tuple[Vector, ...] = field(repr=False)
+    cartan_adjugate: tuple[tuple[int, ...], ...] = field(repr=False)
+    cartan_determinant: int = field(repr=False)
 
     def coroot_pairing(self, w: Vector, i: int) -> Fraction:
         """<w, alpha_i^vee> for 1-based i, alpha_i^vee = 2 alpha_i / |alpha_i|^2."""
@@ -189,6 +194,7 @@ def build(type_label: str, rank: int) -> RootSystem:
     # so rho = sum_i omega_i, in simple-root coordinates the row sums of C^-1,
     # must be half the sum of the positive roots
     inverse_cartan = lattice.invert(entries)
+    determinant = int(lattice.determinant(entries))
     fundamental = tuple(_expand(col, simple) for col in lattice.transpose(inverse_cartan))
     rho_coords = tuple(sum(row) for row in inverse_cartan)
     if any(Fraction(sum(c[j] for c in coords), 2) != rho_coords[j] for j in range(rank)):
@@ -206,6 +212,9 @@ def build(type_label: str, rank: int) -> RootSystem:
         positive_root_alpha_coords=tuple(c for c, _ in pairs),
         inverse_cartan=inverse_cartan,
         simple_coroots=coroots,
+        cartan_adjugate=tuple(tuple(int(determinant * x) for x in row)
+                              for row in inverse_cartan),
+        cartan_determinant=determinant,
     )
 
 

@@ -1,11 +1,15 @@
 """Command line behavior: parsing, formats, exit codes."""
 
+import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -14,38 +18,75 @@ import weylalt
 from weylalt import cli, kostant, lattice
 from weylalt.cli import (EXIT_CHECK_FAILED, EXIT_LIMIT, EXIT_OK, EXIT_USAGE,
                          Check, RunReport, main, parse_weight)
-from weylalt.rootsystem import build
+from weylalt.errors import NotInRootSpan
+from weylalt.kostant import QPolynomial
+from weylalt.multiplicity import q_multiplicity_terms
+from weylalt.rootsystem import (build, fundamental_weight, highest_root,
+                                is_dominant, to_simple_root_coords)
+from weylalt.weyl import group_order
 
 
 # === weight expressions ===
 
+# expected: the ambient vector the expression names, then its fundamental
+# coordinates over one denominator, and that denominator
 @pytest.mark.parametrize("text, expected", [
-    ("w1", (1, 0, 0)),
-    ("w1+w2", (2, 1, 0)),
-    ("w1-w3", ("1/2", "-1/2", "-1/2")),
-    ("highest-root", (1, 1, 0)),
-    ("sum-simple", (1, 0, 0)),
-    ("0", (0, 0, 0)),
-    ("w1+0", (1, 0, 0)),
-    ("-w1", (-1, 0, 0)),
-    ("eps:1/2,-1/2,0", ("1/2", "-1/2", 0)),
-    ("eps:1,0,0-w1", (0, 0, 0)),
-    ("w2 - w1", (0, 1, 0)),
-    ("highest-root-w2", (0, 0, 0)),
+    ("w1", ((1, 0, 0), (1, 0, 0), 1)),
+    ("w1+w2", ((2, 1, 0), (1, 1, 0), 1)),
+    ("w1-w3", (("1/2", "-1/2", "-1/2"), (1, 0, -1), 1)),
+    ("highest-root", ((1, 1, 0), (0, 1, 0), 1)),
+    ("sum-simple", ((1, 0, 0), (1, 0, 0), 1)),
+    ("0", ((0, 0, 0), (0, 0, 0), 1)),
+    ("w1+0", ((1, 0, 0), (1, 0, 0), 1)),
+    ("-w1", ((-1, 0, 0), (-1, 0, 0), 1)),
+    ("eps:1/2,-1/2,0", (("1/2", "-1/2", 0), (2, -1, 0), 2)),
+    ("eps:1,0,0-w1", ((0, 0, 0), (0, 0, 0), 1)),
+    ("w2 - w1", ((0, 1, 0), (-1, 1, 0), 1)),
+    ("highest-root-w2", ((0, 0, 0), (0, 0, 0), 1)),
 ])
 def test_parse_weight(text, expected):
+    # integer fundamental coordinates over one denominator; read back in the
+    # fundamental weights they give the ambient vector the expression names
     rs = build("B", 3)
-    assert parse_weight(text, rs) == lattice.vector(expected)
+    ambient_expected, coords, denominator = expected
+    weight = parse_weight(text, rs)
+    assert (weight.coords, weight.denominator) == (coords, denominator)
+    assert all(type(c) is int for c in weight.coords + (weight.denominator,))
+    ambient = lattice.zeros(rs.ambient_dim)
+    for c, omega in zip(weight.coords, rs.fundamental_weights):
+        ambient = lattice.add(ambient, lattice.scale(Fraction(c, denominator), omega))
+    assert ambient == lattice.vector(ambient_expected)
+    # the eps: part, kept in ambient coordinates for the root-span test
+    eps = {"eps:1/2,-1/2,0": ("1/2", "-1/2", 0), "eps:1,0,0-w1": (1, 0, 0)}.get(text)
+    assert weight.eps == (None if eps is None else lattice.vector(eps))
 
 
-@pytest.mark.parametrize("text", [
-    "", "w0", "w4", "q", "w1w2", "2w1", "eps:1,2", "eps:1,,2", "eps:",
-    "w1+", "+-w1", "eps:1,0,0.5", "eps:1/0,0,0",
-])
-def test_parse_weight_rejects(text):
+REJECTED = {
+    "": "empty weight expression",
+    "w0": "fundamental weight index 0 out of range for B3",
+    "w4": "fundamental weight index 4 out of range for B3",
+    "q": "cannot parse weight expression at 'q'",
+    "w1w2": "missing + or - before 'w2'",
+    "2w1": "cannot parse weight expression at '2w1'",
+    "eps:1,2": "eps: needs 3 coordinates for B3, got 2",
+    "eps:1,,2": "eps: needs 3 coordinates for B3, got 1",
+    "eps:": "cannot parse weight expression at 'eps:'",
+    "w1+": "cannot parse weight expression at '+'",
+    "+-w1": "cannot parse weight expression at '+-w1'",
+    "eps:1,0,0.5": "cannot parse weight expression at '.5'",
+    "eps:1/0,0,0": "zero denominator in 'eps:1/0,0,0'",
+}
+
+
+@pytest.mark.parametrize("text", list(REJECTED))
+def test_parse_weight_rejects(text, capsys):
+    # each message as the parser gave it when it returned ambient vectors
     rs = build("B", 3)
-    with pytest.raises(ValueError):
+    message = REJECTED[text]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_weight(text, rs)
+    assert main(["mult", "B", "3", f"--lam={text}"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # === report rendering ===
@@ -160,6 +201,31 @@ def test_weyl_alt_and_mult_share_records(capsys):
     assert alt["records"]
     assert alt["records"] == mult["records"]
     assert alt["parameters"]["size"] == mult["parameters"]["alternation_size"]
+
+
+@pytest.mark.parametrize("argv, records", [
+    # lambda - mu = 0 and alpha_1 are in the span, though lambda and mu are not
+    (["mult", "A", "2", "--lam", "eps:1,0,0", "--mu", "eps:1,0,0"],
+     [("e", [1])]),
+    (["weyl-alt", "A", "2", "--lam", "eps:1,0,0", "--mu", "eps:0,1,0"],
+     [("e", [0, 1])]),
+    # lambda - mu = e_1 is off the trace-zero span of A2
+    (["mult", "A", "2", "--lam", "eps:1,0,0"], []),
+    # theta + (1, 1, 1): its coroot pairings are those of theta, yet it is off
+    # the span, so the integral xi_e of theta must not give a term
+    (["weyl-alt", "A", "2", "--lam", "eps:2,1,0"], []),
+], ids=["mult-same-off-span-part", "weyl-alt-difference-in-span",
+        "mult-difference-off-span", "weyl-alt-off-span-with-integral-pairings"])
+def test_eps_terms_vanish_exactly_when_lam_minus_mu_is_off_the_span(
+        argv, records, capsys):
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert [(r["word"], r["pq"]) for r in payload["records"]] == records
+    parameters = payload["parameters"]
+    size = parameters.get("size", parameters.get("alternation_size"))
+    assert size == len(records)
+    if argv[0] == "mult":
+        assert parameters["multiplicity"] == len(records)
 
 
 def test_weyl_alt_text(capsys):
@@ -395,6 +461,150 @@ def test_oracle_suite_other_seed(capsys):
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "definitely-not-a-suite"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+# === named weights against the ambient library ===
+
+NAMED_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
+                 ("E6", 6), ("E7", 7), ("E8", 8)]
+NAMED_DRAWS = 20
+UNPRUNED_MAX_ORDER = 1152  # a walk that cannot prune visits all of W
+NAMED_MAX_CELLS = 20000    # the box [0, lambda - mu] of the P_q table
+
+
+def _random_named(rng, rs, terms):
+    names = [f"w{i}" for i in range(1, rs.rank + 1)] + ["highest-root", "sum-simple", "0"]
+    return "".join(rng.choice("+-") + rng.choice(names) for _ in range(terms))
+
+
+def _ambient_weight(text, rs):
+    # the slow oracle of parse_weight: ambient Fraction vectors
+    total = lattice.zeros(rs.ambient_dim)
+    for sign, name in re.findall(
+            r"([+-])(highest-root|sum-simple|w\d+|0|eps:[-\d/]+(?:,-?[\d/]+)*)", text):
+        if name == "highest-root":
+            term = highest_root(rs)
+        elif name == "sum-simple":
+            term = lattice.zeros(rs.ambient_dim)
+            for alpha in rs.simple_roots:
+                term = lattice.add(term, alpha)
+        elif name == "0":
+            term = lattice.zeros(rs.ambient_dim)
+        elif name.startswith("eps:"):
+            term = lattice.vector(name[len("eps:"):].split(","))
+        else:
+            term = fundamental_weight(rs, int(name[1:]))
+        total = (lattice.sub if sign == "-" else lattice.add)(total, term)
+    return total
+
+
+def _mult_matches_the_library(rs, lam_text, mu_text, capsys):
+    """Whether the mult of two expressions has terms; asserts that its
+    records and totals are those of q_multiplicity_terms on ambient vectors."""
+    order = group_order(rs)
+    lam, mu = _ambient_weight(lam_text, rs), _ambient_weight(mu_text, rs)
+    expected = q_multiplicity_terms(lam, mu, rs, order)
+    total = QPolynomial.zero()
+    for element, pq in expected:
+        total = total - pq if element.length % 2 else total + pq
+    argv = ["mult", rs.type_label, str(rs.rank), f"--lam={lam_text}",
+            f"--mu={mu_text}", "--cap", str(order), "--format", "json"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["records"] == [
+        {"word": str(element), "length": element.length,
+         "sign": (-1) ** element.length, "pq": list(pq.coeffs)}
+        for element, pq in expected]
+    parameters = payload["parameters"]
+    assert parameters["alternation_size"] == len(expected)
+    assert parameters["q_multiplicity"] == list(total.coeffs)
+    assert parameters["multiplicity"] == total.evaluate(1)
+    return bool(expected)
+
+
+@pytest.mark.parametrize("label, rank", NAMED_SYSTEMS)
+def test_named_mult_matches_the_ambient_library(label, rank, capsys):
+    # seeded random sums and differences of named terms; half the draws take
+    # mu below lambda by named roots, so that most of them have terms
+    rs = build(label, rank)
+    order = group_order(rs)
+    rng = random.Random(f"{label}{rank}")
+    seen = Counter()
+    while seen["draws"] < NAMED_DRAWS:
+        lam_text = _random_named(rng, rs, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            mu_text = lam_text + "".join(
+                "-" + rng.choice(["highest-root", "sum-simple"])
+                for _ in range(rng.randint(0, 2)))
+        else:
+            mu_text = _random_named(rng, rs, rng.randint(1, 2))
+        lam, mu = _ambient_weight(lam_text, rs), _ambient_weight(mu_text, rs)
+        prunes = is_dominant(lattice.add(lam, rs.rho), rs)
+        top = to_simple_root_coords(lattice.sub(lam, mu), rs)
+        if (not prunes and order > UNPRUNED_MAX_ORDER
+                or prod(abs(c) + 1 for c in top) > NAMED_MAX_CELLS):
+            continue
+        seen.update(draws=1, terms=_mult_matches_the_library(rs, lam_text, mu_text, capsys),
+                    unpruned=not prunes, non_dominant=not is_dominant(lam, rs),
+                    nonzero_mu=any(mu))
+    assert seen["terms"] and seen["non_dominant"] and seen["nonzero_mu"]
+    assert seen["unpruned"] or order > UNPRUNED_MAX_ORDER
+
+
+@pytest.mark.parametrize("label, rank", [("A", 2), ("A", 3), ("B", 3), ("G2", 2)])
+def test_eps_mult_matches_the_ambient_library(label, rank, capsys):
+    # eps: terms with halves beside named ones; a third of the draws move mu
+    # off the root span, where A and G2 have room, by a multiple of (1,...,1)
+    rs = build(label, rank)
+    rng = random.Random(f"eps {label}{rank}")
+    seen = Counter()
+    for _ in range(30):
+        def eps():
+            return "eps:" + ",".join(rng.choice(["-1", "-1/2", "0", "1/2", "1"])
+                                     for _ in range(rs.ambient_dim))
+        lam_text = _random_named(rng, rs, rng.randint(0, 2)) + rng.choice("+-") + eps()
+        mode = rng.randrange(3)
+        if mode == 0:
+            mu_text = lam_text + "".join(
+                "-" + rng.choice(["highest-root", "sum-simple"])
+                for _ in range(rng.randint(0, 2)))
+        elif mode == 1:
+            mu_text = _random_named(rng, rs, 1) + rng.choice("+-") + eps()
+        else:
+            mu_text = lam_text + "-eps:" + ",".join(["1"] * rs.ambient_dim)
+        lam, mu = _ambient_weight(lam_text, rs), _ambient_weight(mu_text, rs)
+        try:
+            to_simple_root_coords(lattice.sub(lam, mu), rs)
+        except NotInRootSpan:
+            seen["off_span"] += 1
+        denominators = {parse_weight(t, rs).denominator for t in (lam_text, mu_text)}
+        seen.update(terms=_mult_matches_the_library(rs, lam_text, mu_text, capsys),
+                    mixed_denominators=len(denominators) > 1)
+    assert seen["terms"] and seen["mixed_denominators"]
+    assert seen["off_span"] or label == "B"
+
+
+def test_named_mult_does_no_fraction_conversion(monkeypatch, capsys):
+    # named terms are integral in the fundamental basis, so a named mult
+    # needs neither an ambient dot product nor the Fraction solve; the
+    # unpatched run comes first because build itself takes dot products
+    argv = ["mult", "B", "4", "--lam=highest-root+w1-sum-simple", "--mu=w2-w1"]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("a named mult reached the Fraction conversion")
+
+    monkeypatch.setattr(lattice, "dot", refuse)
+    for name in ("rootsystem", "multiplicity", "kostant", "cli"):
+        module = importlib.import_module(f"weylalt.{name}")
+        if hasattr(module, "to_simple_root_coords"):
+            monkeypatch.setattr(module, "to_simple_root_coords", refuse)
+    assert main(argv) == EXIT_OK
+    assert re.sub(r'elapsed_ms: \d+', "", capsys.readouterr().out) == \
+        re.sub(r'elapsed_ms: \d+', "", expected)
+    with pytest.raises(AssertionError, match="Fraction conversion"):
+        main(["mult", "B", "4", "--lam", "eps:1,0,0,0"])
 
 
 # === golden outputs ===

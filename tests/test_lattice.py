@@ -90,3 +90,22 @@ def test_invert_random_matrices():
             continue
         assert mat_mul(m, inv) == identity(n)
         built += 1
+
+
+def laplace(m):
+    # the slow oracle of determinant: expansion along the first row
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * laplace([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_determinant_matches_expansion():
+    assert lattice.determinant([[0, 1], [1, 0]]) == -1  # needs a row swap
+    assert lattice.determinant([[1, 2], [2, 4]]) == 0
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+                for _ in range(n)]
+        assert lattice.determinant(rows) == laplace(rows)

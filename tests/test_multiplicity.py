@@ -9,8 +9,9 @@ from weylalt import lattice
 from weylalt.combinatorics import lucas
 from weylalt.errors import CapExceeded, NotInRootSpan
 from weylalt.kostant import QPolynomial, partition_q
-from weylalt.multiplicity import (_survivor_terms, alternation_set,
-                                  multiplicity, predicted_alternation_set_B,
+from weylalt.multiplicity import (_ambient_start, _survivor_terms,
+                                  alternation_set, integer_start, multiplicity,
+                                  predicted_alternation_set_B,
                                   predicted_count_by_length_B, predicted_pq_B,
                                   q_multiplicity, q_multiplicity_terms,
                                   weight_diagram)
@@ -179,12 +180,37 @@ def test_fast_path_matches_enumeration(label, rank):
     count = 3 if len(elements) <= 200 else 2 if len(elements) <= 400 else 1
     nontrivial = 0
     for lam, mu in survivor_cases(rs, rng, count):
-        terms = _survivor_terms(lam, mu, rs, group_order(rs))
+        terms = _survivor_terms(_ambient_start(lam, mu, rs), rs, group_order(rs))
         walked = {(w.word, c) for w, c in terms}
         assert len(walked) == len(terms)  # each element reached once
         assert walked == enumerated_survivors(elements, lam, mu, rs)
         nontrivial += len(walked) > 1
     assert nontrivial >= 2
+
+
+@pytest.mark.parametrize("label, rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4), ("E6", 6),
+    ("E7", 7), ("E8", 8)])
+def test_integer_start_is_the_ambient_start(label, rank):
+    # integer fundamental coordinates over d through adj(C) and det(C) give
+    # the ambient conversion's xi_e and pairings, up to the common scale
+    rs = build(label, rank)
+    rng = random.Random(41)
+
+    def ambient(coords, d):
+        v = lattice.zeros(rs.ambient_dim)
+        for c, omega in zip(coords, rs.fundamental_weights):
+            v = lattice.add(v, lattice.scale(Fraction(c, d), omega))
+        return v
+
+    for _ in range(10):
+        d = rng.choice([1, 2, 3])
+        lam = [rng.randint(-4, 4) for _ in range(rank)]
+        mu = [rng.randint(-4, 4) for _ in range(rank)]
+        top, pairings, scale = integer_start(lam, mu, d, rs)
+        a_top, a_pairings, a_scale = _ambient_start(ambient(lam, d), ambient(mu, d), rs)
+        assert [Fraction(x, scale) for x in top + pairings] == \
+            [Fraction(x, a_scale) for x in a_top + a_pairings]
 
 
 def test_singular_shift_b2():

@@ -254,6 +254,24 @@ def test_positive_roots_match_bourbaki_tables(label, rank):
         assert list(rs.positive_roots) == _classical_positive_roots(label, rank)
 
 
+CARTAN_DETERMINANTS = {"A": lambda r: r + 1, "B": lambda r: 2, "C": lambda r: 2,
+                       "D": lambda r: 4, "G2": lambda r: 1, "F4": lambda r: 1,
+                       "E6": lambda r: 3, "E7": lambda r: 2, "E8": lambda r: 1}
+
+
+@pytest.mark.parametrize("label, rank", ALL_SYSTEMS)
+def test_integer_inverse_cartan(label, rank):
+    # adj(C) C = det(C) I in integers, and det(C) = |P / Q| (Humphreys 13.1)
+    rs = build(label, rank)
+    det = rs.cartan_determinant
+    assert det == CARTAN_DETERMINANTS[label](rank)
+    assert all(type(x) is int for row in rs.cartan_adjugate for x in row)
+    cartan = rs.cartan_matrix
+    for i, row in enumerate(rs.cartan_adjugate):
+        assert [sum(row[k] * cartan[k][j] for k in range(rank))
+                for j in range(rank)] == [det * (i == j) for j in range(rank)]
+
+
 @pytest.mark.parametrize("label, rank", [("A", 2), ("B", 3), ("C", 3),
                                          ("D", 4), ("G2", 2), ("F4", 4),
                                          ("E6", 6)])
