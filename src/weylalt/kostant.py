@@ -3,25 +3,28 @@
 The q-analog P_q(xi) = sum_j c_j q^j counts the ways to write xi as a sum of
 exactly j positive roots. The main path is one dense table per RootSystem
 object (build hands out one per type and rank) over a box [0, top] in
-simple-root coordinates. Every row of cells along the last axis is packed into
-a single int, coefficient by coefficient in planes of equal excess ht(x) - j,
-so a row is only as long as its deepest cell (see BoxTable). The fill starts
-every row at excess 0, the simple roots' closed form q^ht(x), and adds one
+simple-root coordinates. A row is the cells that share every coordinate
+outside a few packed axes, no two of them joined in the Dynkin diagram; it is
+packed into a single int, coefficient by coefficient in planes of equal
+excess ht(x) - j, so a row is only as long as its deepest cell (see
+BoxTable). A coefficient's field is as wide as the largest count of
+decompositions of one excess (coefficient_bound). The fill starts every row
+at excess 0, the simple roots' closed form q^ht(x), and adds one
 unbounded-knapsack pass per other positive root, one big-int update per row.
-A lookup outside the box builds a new table, unless height_bytes, the one
-estimate of a table's size, taken from its row heights, passes
-TABLE_BUDGET_BYTES: then TableTooLarge is raised before anything is
-allocated. Two independent routes are kept as oracles and never merged with
-it: partition_q_recursive, a recursion over a permuted root list, and
-partition_q_bruteforce, an exhaustive search with no memo.
-"""
+table_layout fixes a table's width and packed axes and estimates its bytes
+once, from its row heights (height_bytes). A lookup outside the box builds a
+new table from that layout, unless the estimate passes TABLE_BUDGET_BYTES:
+then TableTooLarge is raised before anything is allocated. Two independent
+routes are kept as oracles and never merged with it: partition_q_recursive,
+a recursion over a permuted root list, and partition_q_bruteforce, an
+exhaustive search with no memo."""
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import prod
 from operator import le, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import HeightExceeded, NotInRootSpan, TableTooLarge
 from .lattice import Vector
@@ -30,11 +33,17 @@ from .rootsystem import RootSystem, to_simple_root_coords
 BRUTE_FORCE_MAX_HEIGHT = 30
 # The budget caps height_bytes, which reads 1.0-1.5x the rows a table will
 # hold, not the peak of a fill: over one fill at B8, C8 and E7 at 2 theta and
-# E8 at theta, the growth of the process's VmHWM (14-19 MB, the rows plus the
-# fill's passing ints) reads 0.86-1.04 of height_bytes, so a table just under
-# the budget may lift the peak a few percent past it. 1 GiB is an eighth of an
-# 8 GB machine; it holds B8 at 3 theta (529 MB) but not E8 at 2 theta (3.4 GB)
+# E8 at theta, each in a fresh process, the growth of the process's VmHWM
+# (9.3-12.6 MB, the rows plus the fill's passing ints) reads 0.72-0.93 of
+# height_bytes, while the rows held read 0.66-0.68 of it. 1 GiB is an eighth
+# of an 8 GB machine; it holds B8 at 3 theta (377 MB by height_bytes) but not
+# E8 at 2 theta (2.54 GB)
 TABLE_BUDGET_BYTES = 1 << 30
+# One row update of a fill pass costs about as much time as 1,500 bits of
+# big-int work: of the 1,000 to 2,000 that picked packed axes within 1.2x of
+# the fastest on most of sixteen theta-multiple boxes, rank 2 to 8, timed
+# under every admissible choice of one or two axes
+ROW_UPDATE_BITS = 1500
 
 
 class QPolynomial:
@@ -177,87 +186,132 @@ class QPolynomial:
 
 
 def coefficient_bound(top: Sequence[int], roots: Sequence[Sequence[int]]) -> int:
-    """Bound on P(x) = P_q(x) at q = 1 for every x in the box [0, top].
+    """Bound on every coefficient of P_q(x) for x in the box [0, top].
 
-    A decomposition of x <= top uses only roots beta <= top, and its
-    multiplicities write ht(x) as a sum of the heights ht(beta), one part
-    kind per root; distinct decompositions give distinct sums. So P(x), and
-    every coefficient of P_q(x), is at most the largest count of such sums
-    of some n <= ht(top), from one 1-D knapsack over [0, ht(top)].
+    A decomposition of x uses only roots inside the box and is fixed by the
+    multiplicities m of its non-simple roots, the simple roots making up the
+    rest. Its excess ht(x) - parts is sum m_beta (ht(beta) - 1), and
+    sum m_beta ht(beta) <= ht(x) <= ht(top). So the coefficient of excess e
+    is at most the count of such m of excess e, and the bound is the largest
+    of those counts: one knapsack over heights [0, ht(top)] with the excess
+    packed in its cells. No field carries, since each holds at most the count
+    of all such m, whose bit length is the packing width.
     """
     height = sum(top)
-    counts = [1] + [0] * height
-    for h in (sum(beta) for beta in roots if all(map(le, beta, top))):
+    heights = [sum(beta) for beta in roots if sum(beta) > 1 and all(map(le, beta, top))]
+    every = [1] + [0] * height  # every[n]: the m with sum m_beta ht(beta) = n
+    for h in heights:
         for n in range(h, height + 1):
-            counts[n] += counts[n - h]
-    return max(counts)
+            every[n] += every[n - h]
+    width = sum(every).bit_length()
+    counts = [1] + [0] * height  # the same m, one field of width bits per excess
+    for h in heights:
+        shift = (h - 1) * width
+        for n in range(h, height + 1):
+            counts[n] += counts[n - h] << shift
+    total, field, largest = sum(counts), (1 << width) - 1, 0
+    while total:
+        largest = max(largest, total & field)
+        total >>= width
+    return largest
+
+
+class Layout(NamedTuple):
+    """How a BoxTable over [0, top] packs its cells, fixed before it is built."""
+
+    top: tuple[int, ...]
+    roots: list[tuple[int, ...]]  # the positive roots inside the box
+    bits: int                     # the width of one coefficient
+    tallest: int                  # the height of the tallest root in the box
+    packed: tuple[int, ...]       # the axes a row spans, in increasing order
+    size: int                     # height_bytes of this packing, or the floor
+
+
+def _repeat(block: int, width: int, count: int) -> int:
+    """count copies of block, each width bits above the one before."""
+    return block * (((1 << (count * width)) - 1) // ((1 << width) - 1))
 
 
 class BoxTable:
     """P_q for every x in the box [0, top] of simple-root coordinates.
 
-    A row holds the cells that share a prefix x_0..x_(r-2), packed into one
-    int as a stack of planes, one plane per excess e = ht(x) - k: coefficient
-    k of P_q(x) sits in bits [e*plane + x_(r-1)*bits, ... + bits), where
-    plane = (top_(r-1) + 1) * bits. A decomposition of x into k roots none
-    taller than h (the tallest root in the box) has k >= ceil(ht(x)/h), so the
-    planes stop at ht(top) - ceil(ht(top)/h), and a row ends at the excess of
-    its last cell, the largest in the row. bits comes from coefficient_bound's
-    count of height sums, so no digit carries. Row p sits at index
-    sum(p_i * strides_i), row-major; strides ends in a 0 so that a whole point
-    indexes its row. Each lookup decodes its cell to a QPolynomial; nothing
+    A row holds the cells that share every coordinate outside the layout's
+    packed axes Q, no non-simple root in the box having its support inside
+    Q. It is one int, a stack of planes, one plane per excess e = ht(x) - k:
+    coefficient k of P_q(x) sits in bits [e*plane + cell(x)*bits, ... + bits),
+    where cell(x) is the mixed-radix index of x's packed coordinates and
+    plane is bits times the cells of a row. A decomposition of x into k roots
+    none taller than h (the tallest root in the box) has k >= ceil(ht(x)/h),
+    so the planes stop at ht(top) - ceil(ht(top)/h), and a row ends at the
+    excess of its last cell, the largest in the row. bits comes from
+    coefficient_bound, so no field carries. Row p sits at index
+    sum(p_i * strides_i) and cell(x)*bits is sum(x_i * shifts_i); strides is 0
+    on the packed axes and shifts on the others, so a whole point indexes its
+    row and its cell. Each lookup decodes its cell to a QPolynomial; nothing
     changes after construction.
     """
 
-    __slots__ = ("top", "strides", "bits", "plane", "mask", "tallest", "rows")
+    __slots__ = ("top", "strides", "shifts", "bits", "plane", "mask", "tallest", "rows")
 
-    def __init__(self, top: tuple[int, ...], roots: Sequence[tuple[int, ...]]):
-        self.top = top
-        strides = [0] * len(top)
-        step = 1
-        for i in range(len(top) - 2, -1, -1):
-            strides[i] = step
-            step *= top[i] + 1
-        self.strides = tuple(strides)
-        inbox, self.bits, self.tallest = _layout(top, roots)
-        self.plane = (top[-1] + 1) * self.bits
+    def __init__(self, layout: Layout):
+        top = self.top = layout.top
+        self.bits, self.tallest = layout.bits, layout.tallest
+        strides, shifts = [0] * len(top), [0] * len(top)
+        rows, cell = 1, layout.bits
+        for i in range(len(top) - 1, -1, -1):
+            if i in layout.packed:
+                shifts[i] = cell
+                cell *= top[i] + 1
+            else:
+                strides[i] = rows
+                rows *= top[i] + 1
+        self.strides, self.shifts = tuple(strides), tuple(shifts)
+        self.plane = cell
         self.mask = (1 << self.bits) - 1
-        self.rows = self._fill(inbox)
+        self.rows = self._fill(layout.roots, rows)
 
-    def _fill(self, roots) -> list[int]:
+    def _fill(self, roots, count: int) -> list[int]:
         """Start every row at excess 0, the one decomposition of each cell
         into simple roots, then run one unbounded-knapsack pass per other
         positive root beta: t[x] += t[x - beta] * q, one row at a time in
         increasing row index.
 
-        A non-simple root is nonzero before the last axis, so every source
-        row lies before its destination row and is final in this pass when
-        it is read. One more part keeps the excess of a coefficient up by
-        ht(beta) - 1, so within a row the pass is one shift by that many
-        planes plus beta's last coordinate in cells; the mask drops what
-        would pass a plane's last cell, and the planes past the last."""
-        top, strides, bits, plane = self.top, self.strides, self.bits, self.plane
-        r = len(top)
+        A non-simple root is nonzero on some axis outside the packed ones, so
+        every source row lies before its destination row and is final in
+        this pass when it is read. One more part keeps the excess of a
+        coefficient up by ht(beta) - 1, so within a row the pass is one shift
+        by that many planes plus beta's packed coordinates in cells; when
+        those are not all 0, the mask drops the cells x with x_q < beta_q on
+        a packed axis q, whose shifted sources wrap from elsewhere in the
+        row, and the planes past the last."""
+        top, strides, shifts, bits, plane = (self.top, self.strides, self.shifts,
+                                             self.bits, self.plane)
         height = sum(top)
         planes = height - -(-height // self.tallest) + 1
-        # a 1 in the lowest bit of every plane, and a 1 in every cell of plane 0
-        ones = ((1 << (planes * plane)) - 1) // ((1 << plane) - 1)
-        rows = [((1 << plane) - 1) // self.mask] * prod(t + 1 for t in top[:-1])
+        ones = _repeat(1, plane, planes)  # a 1 in the lowest bit of every plane
+        rows = [_repeat(1, bits, plane // bits)] * count
+        outer = [i for i, stride in enumerate(strides) if stride]
+        packed = [i for i, shift in enumerate(shifts) if shift]
         for beta in roots:
             if sum(beta) == 1:
                 continue
             offset = sum(map(mul, beta, strides))
-            # the destination rows, prefix in [beta, top], as runs along the
-            # last prefix axis
-            starts = [beta[r - 2]]
-            for i in range(r - 2):
+            # the destination rows, outer coordinates in [beta, top], as runs
+            # along the last outer axis, whose stride is 1
+            last = outer[-1]
+            starts = [beta[last]]
+            for i in outer[:-1]:
                 starts = [s + x * strides[i]
                           for s in starts for x in range(beta[i], top[i] + 1)]
-            run = top[r - 2] - beta[r - 2] + 1
-            shift = (sum(beta) - 1) * plane + beta[-1] * bits
-            if beta[-1]:
-                cells = (1 << ((top[-1] + 1 - beta[-1]) * bits)) - 1
-                mask = (cells << (beta[-1] * bits)) * ones
+            run = top[last] - beta[last] + 1
+            within = sum(map(mul, beta, shifts))
+            shift = (sum(beta) - 1) * plane + within
+            if within:
+                cells = self.mask
+                for q in reversed(packed):
+                    cells = (_repeat(cells, shifts[q], top[q] + 1 - beta[q])
+                             << beta[q] * shifts[q])
+                mask = cells * ones
                 for lo in starts:
                     for d in range(lo, lo + run):
                         rows[d] += (rows[d - offset] << shift) & mask
@@ -268,7 +322,7 @@ class BoxTable:
         return rows
 
     def __len__(self) -> int:
-        return len(self.rows) * (self.top[-1] + 1)
+        return len(self.rows) * (self.plane // self.bits)
 
     def covers(self, coords: tuple[int, ...]) -> bool:
         return all(map(le, coords, self.top))
@@ -277,7 +331,7 @@ class BoxTable:
         """P_q(coords) for coords inside the box: the planes upward from the
         cell, coefficient ht(coords) down to the fewest parts possible."""
         row = self.rows[sum(map(mul, coords, self.strides))]
-        packed = row >> (coords[-1] * self.bits)
+        packed = row >> sum(map(mul, coords, self.shifts))
         height = sum(coords)
         mask, plane = self.mask, self.plane
         coeffs = [0] * (height + 1)
@@ -287,36 +341,96 @@ class BoxTable:
         return QPolynomial(coeffs)
 
 
-def _layout(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]
-            ) -> tuple[list[tuple[int, ...]], int, int]:
-    """The roots inside the box [0, top], the only ones a decomposition of a
-    cell can use; the bits of a coefficient; the height of the tallest of
-    those roots."""
-    inbox = [beta for beta in roots if all(map(le, beta, top))]
-    bits = coefficient_bound(top, inbox).bit_length()
-    return inbox, bits, max(map(sum, inbox), default=1)
-
-
-def height_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> int:
-    """Bytes a BoxTable over [0, top] holds at most, from row heights alone:
-    the last cell x of a row has excess at most ht(x) - ceil(ht(x)/h), h the
-    tallest root in the box, and a row of excess e costs a list slot, an int
+def height_bytes(top: tuple[int, ...], roots: Sequence[tuple[int, ...]], bits: int,
+                 packed: Sequence[int]) -> int:
+    """Bytes a BoxTable over [0, top] holds at most when its rows span the
+    packed axes, from row heights alone. The last cell x of a row is at the
+    top of every packed axis q, so it is a sum of at least ceil(ht(x)/h)
+    roots of the box, h the tallest, and of at least ceil(top_q/c_q), c_q
+    the largest coefficient of alpha_q in them: its excess, and the row's,
+    is ht(x) minus the larger. A row of excess e costs a list slot, an int
     header and 4 bytes per 30-bit digit of e + 1 planes. Rows are counted by
-    the height of their prefix, so this costs one pass per axis. It is the
-    estimate TABLE_BUDGET_BYTES is held against, and never above the bytes of
-    rows of ht(top) + 1 full planes each."""
-    _, bits, tallest = _layout(top, roots)
-    plane = (top[-1] + 1) * bits
-    counts = [1]  # counts[s]: prefixes of height s over the axes so far
-    for t in top[:-1]:
+    the height of their other coordinates, one pass per other axis."""
+    tallest = max(map(sum, roots), default=1)
+    fewest = max((-(-top[q] // max(1, *(beta[q] for beta in roots))) for q in packed),
+                 default=0)
+    plane = bits * prod(top[q] + 1 for q in packed)
+    counts = [1]  # counts[s]: rows whose other coordinates sum to s, so far
+    for i, t in enumerate(top):
+        if i in packed:
+            continue
         cum = [0, *accumulate(counts)]
         n = len(counts)
         counts = [cum[min(s, n - 1) + 1] - cum[max(s - t, 0)] for s in range(n + t)]
     total = 0
-    for ht, c in enumerate(counts, start=top[-1]):
-        planes = ht - -(-ht // tallest) + 1
+    for ht, c in enumerate(counts, start=sum(top[q] for q in packed)):
+        planes = ht - max(-(-ht // tallest), fewest) + 1
         total += c * (32 + 4 * -(-planes * plane // 30))
     return total
+
+
+def _choose_packed(top: tuple[int, ...], roots: Sequence[tuple[int, ...]],
+                   bits: int, tallest: int) -> tuple[int, ...]:
+    """The axes a row spans, chosen greedily by a model of the fill's time.
+
+    A fill touches every row once at its start and then, per pass of a
+    non-simple root beta, each destination row: the rows whose coordinates
+    outside the packed axes Q are at least beta's, prod over i not in Q of
+    (top_i - beta_i + 1). Each touch costs ROW_UPDATE_BITS plus the row's
+    length: cells(Q) * bits per plane, times about 1 + (1 - 1/h) ht planes,
+    ht the height of the row's last cell, which averages
+    sum_(i not in Q) (top_i + beta_i)/2 + sum_(q in Q) top_q over those rows
+    (beta = 0 for the start). From no packed axis, the axis that lowers this
+    total the most is added while one does, and only while no non-simple
+    root has its support inside Q. The total is scaled by 2h to stay in
+    integers."""
+    steps = [(0,) * len(top)] + [beta for beta in roots if sum(beta) > 1]
+    supports = [sum(1 << i for i, b in enumerate(beta) if b) for beta in steps[1:]]
+    # per step: the rows it touches and twice their mean height, so far
+    rows = [prod(t - b + 1 for t, b in zip(top, beta)) for beta in steps]
+    spans = [sum(top) + sum(beta) for beta in steps]
+
+    def cost(rows, spans, width):
+        return sum(n * (2 * tallest * ROW_UPDATE_BITS
+                        + width * ((tallest - 1) * span + 2 * tallest))
+                   for n, span in zip(rows, spans))
+
+    packed, width = 0, bits
+    best = cost(rows, spans, width)
+    while True:
+        choice = None
+        for j, t in enumerate(top):
+            mask = packed | 1 << j
+            if not t or mask == packed or any(s & mask == s for s in supports):
+                continue
+            trial = ([n // (t - beta[j] + 1) for n, beta in zip(rows, steps)],
+                     [span + t - beta[j] for span, beta in zip(spans, steps)])
+            total = cost(*trial, width * (t + 1))
+            if total < best:
+                best, choice = total, (j, trial)
+        if choice is None:
+            return tuple(i for i in range(len(top)) if packed >> i & 1)
+        j, (rows, spans) = choice
+        packed |= 1 << j
+        width *= top[j] + 1
+
+
+def table_layout(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> Layout:
+    """The layout of a BoxTable over [0, top] and its estimated size.
+
+    Every layout holds at least one bit per plane of each cell, and a cell x
+    has at least (1 - 1/h) ht(x) planes, which average (1 - 1/h) ht(top)/2
+    over the box. When those bytes alone pass TABLE_BUDGET_BYTES the table
+    is never built, so no width is counted and the layout's size is that
+    floor, with bits 0."""
+    inbox = [beta for beta in roots if all(map(le, beta, top))]
+    tallest = max(map(sum, inbox), default=1)
+    least = prod(t + 1 for t in top) * sum(top) * (tallest - 1) // (15 * tallest)
+    if least > TABLE_BUDGET_BYTES:
+        return Layout(top, inbox, 0, tallest, (), least)
+    bits = coefficient_bound(top, inbox).bit_length()
+    packed = _choose_packed(top, inbox, bits, tallest)
+    return Layout(top, inbox, bits, tallest, packed, height_bytes(top, inbox, bits, packed))
 
 
 # RootSystem is eq=False, so each build() instance is its own key
@@ -342,16 +456,16 @@ def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
             union = tuple(map(max, table.top, coords))
             if prod(t + 1 for t in union) <= len(table) + prod(c + 1 for c in coords):
                 top = union
-        size = height_bytes(top, roots)
-        if size > TABLE_BUDGET_BYTES and top != coords:
+        layout = table_layout(top, roots)
+        if layout.size > TABLE_BUDGET_BYTES and top != coords:
             top = coords
-            size = height_bytes(top, roots)
-        if size > TABLE_BUDGET_BYTES:
+            layout = table_layout(top, roots)
+        if layout.size > TABLE_BUDGET_BYTES:
             raise TableTooLarge(
                 f"P_q table over the box {list(top)} has "
-                f"{prod(t + 1 for t in top):,} cells, an estimated {size:,} "
+                f"{prod(t + 1 for t in top):,} cells, an estimated {layout.size:,} "
                 f"bytes, over the budget of {TABLE_BUDGET_BYTES:,} bytes")
-        table = _DEFAULT_CACHES[rs] = BoxTable(top, roots)
+        table = _DEFAULT_CACHES[rs] = BoxTable(layout)
     return table.lookup(coords)
 
 

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
 from .errors import NotInRootSpan
-from .kostant import QPolynomial, partition_q_alpha
+from .kostant import QPolynomial, _table_lookup
 from .lattice import Vector
 from .rootsystem import RootSystem, is_dominant_integral, to_simple_root_coords
 from .weyl import DEFAULT_CAP, WeylElement, check_cap
@@ -101,7 +101,8 @@ def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
     """(element, xi simple-root coordinates) for every survivor of a start.
 
     The walk runs on the scaled integers of the start, so eps: weights walk
-    on integers too; a start of None has no survivors.
+    on integers too; a start of None has no survivors. Each xi is a tuple of
+    nonnegative ints, so the P_q table reads it without further checks.
     """
     check_cap(rs, cap)
     if start is None:
@@ -166,7 +167,7 @@ def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
     Kostka-Foulkes polynomial K_lambda,mu(q) (Kato 1982), whose coefficients
     are nonnegative."""
     terms = _survivor_terms(_ambient_start(lam, mu, rs), rs, cap)
-    return alternating_sum((element, partition_q_alpha(coords, rs))
+    return alternating_sum((element, _table_lookup(coords, rs))
                            for element, coords in terms)
 
 
@@ -182,7 +183,7 @@ def start_terms(start: Start | None, rs: RootSystem, cap: int = DEFAULT_CAP
     sign not applied, by length and then word."""
     terms = _survivor_terms(start, rs, cap)
     return sorted(
-        ((element, partition_q_alpha(coords, rs)) for element, coords in terms),
+        ((element, _table_lookup(coords, rs)) for element, coords in terms),
         key=lambda pair: (pair[0].length, pair[0].word),
     )
 

@@ -271,8 +271,8 @@ def test_exit_cap(capsys):
 def test_exit_table_budget(monkeypatch, capsys):
     # lam = 1000 theta asks for the box (1000, 1000, 1000): 1,003,003,001
     # cells, far over the budget, so the run must stop before any table fill
-    def no_fill(top, roots):
-        raise AssertionError(f"an over-budget table over {top} was built")
+    def no_fill(layout):
+        raise AssertionError(f"an over-budget table over {layout.top} was built")
 
     monkeypatch.setattr(kostant, "BoxTable", no_fill)
     assert main(["mult", "A", "3", "--lam", "eps:1000,0,0,-1000"]) == EXIT_LIMIT
@@ -639,6 +639,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("mult_B_4_6highest-root", ["mult", "B", "4", "--lam", "+".join(["highest-root"] * 6)]),
     ("mult_A_5_6highest-root", ["mult", "A", "5", "--lam", "+".join(["highest-root"] * 6)]),
     ("mult_C_4_2highest-root", ["mult", "C", "4", "--lam", "+".join(["highest-root"] * 2)]),
+    ("mult_E6_6_2highest-root", ["mult", "E6", "6", "--lam", "+".join(["highest-root"] * 2)]),
 ])
 def test_json_output_matches_golden(name, argv, capsys):
     # byte for byte, apart from the elapsed_ms field

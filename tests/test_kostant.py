@@ -5,7 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from math import prod
-from operator import mul
+from operator import le, mul
 
 import pytest
 
@@ -203,6 +203,10 @@ def test_tables_are_per_system():
     assert kostant._DEFAULT_CACHES[b3] is not kostant._DEFAULT_CACHES[c3]
 
 
+def box_table(top, roots):
+    return kostant.BoxTable(kostant.table_layout(top, roots))
+
+
 NINE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
               ("E6", 6), ("E7", 7), ("E8", 8)]
 
@@ -251,7 +255,7 @@ def test_box_table_matches_oracles(label, rank, monkeypatch):
     assert len(table) < prod(max(a, b) + 1 for a, b in zip(before, second))
     # a fresh table over the first box gives the same values and leaves the
     # system's table alone
-    fresh = kostant.BoxTable(top, rs.positive_root_alpha_coords)
+    fresh = box_table(top, rs.positive_root_alpha_coords)
     for _ in range(4):
         x = tuple(rng.randint(0, t) for t in top)
         assert_matches_oracles(rs, x, fresh.lookup(x))
@@ -279,32 +283,69 @@ def test_box_table_on_unpruned_b2_terms(monkeypatch):
                                          ("D", 4), ("G2", 2), ("F4", 4),
                                          ("A", 1), ("E6", 6)])
 def test_packing_bound_covers_every_cell(label, rank):
+    # the bound covers every coefficient, not P(x) = P_q(x) at q = 1, and is
+    # at most the count of height sums the fields were sized by before
     rs = build(label, rank)
     roots = rs.positive_root_alpha_coords
     rng = random.Random(31)
     high = 3 if rank <= 4 else 2
     for _ in range(3):
         top = tuple(rng.randint(0, high) for _ in range(rank))
-        table = kostant.BoxTable(top, roots)
-        largest = max(table.lookup(x).evaluate(1)
+        table = box_table(top, roots)
+        largest = max(max(table.lookup(x).coeffs)
                       for x in itertools.product(*(range(t + 1) for t in top)))
         bound = kostant.coefficient_bound(top, roots)
         assert bound >= largest
         assert table.bits == bound.bit_length()
-        height_bound = prod(sum(top) // sum(beta) + 1 for beta in roots)
-        assert bound <= height_bound
+        assert bound <= height_sum_count(top, roots)
+
+
+def height_sum_count(top, roots):
+    """The largest count of ways to write some n <= ht(top) as a sum of the
+    heights of the roots in the box, one part kind per root."""
+    height = sum(top)
+    sums = [1] + [0] * height
+    for h in (sum(beta) for beta in roots if all(map(le, beta, top))):
+        for n in range(h, height + 1):
+            sums[n] += sums[n - h]
+    return max(sums)
+
+
+def dynkin_edges(rs):
+    """Pairs of simple roots joined in the Dynkin diagram: alpha_i + alpha_j is a root."""
+    roots = set(rs.positive_root_alpha_coords)
+    return {(i, j) for i in range(rs.rank) for j in range(i + 1, rs.rank)
+            if tuple(int(k in (i, j)) for k in range(rs.rank)) in roots}
 
 
 def test_non_simple_roots_have_two_nonzero_coordinates():
-    # BoxTable._fill updates a whole row, the cells that share x_0..x_(r-2),
-    # with one shift of its source row, which is sound only because that
-    # source row comes earlier: beta is nonzero before its last coordinate
+    # BoxTable._fill updates a whole row, the cells that share every
+    # coordinate outside a set Q of pairwise non-adjacent Dynkin nodes, with
+    # one shift of its source row, which is sound only because that source
+    # row comes earlier: the support of a non-simple root holds two joined
+    # nodes, so it is never inside Q
     for label, (smallest, _, _) in TYPES.items():
         ranks = range(smallest, 9) if len(label) == 1 else (smallest,)
         for rank in ranks:
-            for beta in build(label, rank).positive_root_alpha_coords:
+            rs = build(label, rank)
+            edges = dynkin_edges(rs)
+            assert len(edges) == rank - 1, (label, rank)
+            for beta in rs.positive_root_alpha_coords:
                 if sum(beta) > 1:
-                    assert sum(1 for b in beta if b) >= 2, (label, rank, beta)
+                    support = [i for i, b in enumerate(beta) if b]
+                    assert len(support) >= 2, (label, rank, beta)
+                    assert any((i, j) in edges for i in support for j in support), \
+                        (label, rank, beta)
+
+
+def admissible_packings(top, roots):
+    """Every set of axes with a nonzero top that holds the support of no
+    non-simple root in the box."""
+    supports = [{i for i, b in enumerate(beta) if b} for beta in roots
+                if sum(beta) > 1 and all(map(le, beta, top))]
+    axes = [i for i, t in enumerate(top) if t]
+    return [q for k in range(len(axes) + 1) for q in itertools.combinations(axes, k)
+            if not any(support <= set(q) for support in supports)]
 
 
 @pytest.mark.parametrize("label, rank, top", [
@@ -332,21 +373,82 @@ def test_non_simple_roots_have_two_nonzero_coordinates():
 ])
 def test_box_table_matches_recursion_on_whole_box(label, rank, top):
     rs = build(label, rank)
-    table = kostant.BoxTable(top, rs.positive_root_alpha_coords)
+    table = box_table(top, rs.positive_root_alpha_coords)
     assert len(table) == prod(t + 1 for t in top)
     for x in itertools.product(*(range(t + 1) for t in top)):
         assert table.lookup(x) == recursion_oracle(rs, x), x
 
 
-@pytest.mark.parametrize("label, rank, k, bits", [
+@pytest.mark.parametrize("label, rank, top", [
+    ("A", 3, (3, 3, 3)),
+    ("B", 3, (2, 4, 4)),
+    ("C", 3, (4, 4, 2)),
+    ("D", 4, (2, 4, 2, 2)),
+    ("G2", 2, (6, 4)),
+    ("F4", 4, (2, 3, 4, 2)),
+    ("E6", 6, (1, 2, 2, 3, 2, 1)),
+    ("E7", 7, (1, 1, 1, 2, 1, 1, 1)),
+    ("E8", 8, (0, 1, 1, 2, 1, 1, 1, 1)),
+])
+def test_box_table_matches_recursion_under_every_packing(label, rank, top, monkeypatch):
+    # every admissible set of packed axes, forced on the chooser, gives the
+    # recursion's value in every cell of the box
+    rs = build(label, rank)
+    roots = rs.positive_root_alpha_coords
+    expected = {x: recursion_oracle(rs, x)
+                for x in itertools.product(*(range(t + 1) for t in top))}
+    packings = admissible_packings(top, roots)
+    edges = dynkin_edges(rs)
+    assert all((i, j) not in edges for q in packings for i in q for j in q)
+    assert any(len(q) >= 2 for q in packings) or rank == 2
+    for packed in packings:
+        monkeypatch.setattr(kostant, "_choose_packed", lambda *args, q=packed: q)
+        layout = kostant.table_layout(top, roots)
+        assert layout.packed == packed
+        assert layout.size == kostant.height_bytes(top, layout.roots, layout.bits, packed)
+        table = kostant.BoxTable(layout)
+        assert len(table.rows) == prod(t + 1 for i, t in enumerate(top) if i not in packed)
+        for x, value in expected.items():
+            assert table.lookup(x) == value, (packed, x)
+
+
+def test_chooser_packs_only_admissible_axes():
+    # on every theta multiple the tests build, and on the rank-7 and rank-8
+    # boxes at 2 theta, the chosen axes are admissible and A5 at 6 theta
+    # packs two of them
+    boxes = THETA_BOXES + [("B", 8, 2), ("C", 8, 2), ("E7", 7, 2), ("E8", 8, 1),
+                           ("E6", 6, 2)]
+    for label, rank, k in boxes:
+        rs, top = theta_box(label, rank, k)
+        roots = rs.positive_root_alpha_coords
+        layout = kostant.table_layout(top, roots)
+        assert layout.packed in admissible_packings(top, roots), (label, rank, k)
+    rs, top = theta_box("A", 5, 6)
+    assert len(kostant.table_layout(top, rs.positive_root_alpha_coords).packed) == 2
+
+
+# the width of a field, by the count of excess-e decompositions, against the
+# width of the count of height sums that sized the fields before
+NARROWED_BITS = {("B", 4, 6): 19, ("A", 5, 6): 16, ("E8", 8, 1): 26,
+                 ("B", 8, 2): 26, ("C", 8, 2): 26, ("E7", 7, 2): 27}
+
+
+@pytest.mark.parametrize("label, rank, k, height_sum_bits", [
     ("B", 4, 6, 29), ("A", 5, 6, 27), ("E8", 8, 1, 38),
     ("B", 8, 2, 38), ("C", 8, 2, 38), ("E7", 7, 2, 39),
 ])
-def test_packing_width_at_multiples_of_theta(label, rank, k, bits):
+def test_packing_width_at_multiples_of_theta(label, rank, k, height_sum_bits):
     rs = build(label, rank)
+    roots = rs.positive_root_alpha_coords
     top = tuple(k * int(c) for c in to_simple_root_coords(highest_root(rs), rs))
-    bound = kostant.coefficient_bound(top, rs.positive_root_alpha_coords)
-    assert bound.bit_length() == bits
+    bound = kostant.coefficient_bound(top, roots)
+    assert bound.bit_length() == NARROWED_BITS[label, rank, k]
+    assert height_sum_count(top, roots).bit_length() == height_sum_bits
+
+
+def estimate(top, roots):
+    """The bytes the table budget is held against."""
+    return kostant.table_layout(top, roots).size
 
 
 def theta_box(label, rank, k):
@@ -366,23 +468,29 @@ def test_table_bytes_bounds_the_rows(label, rank, k):
     # rows a table holds (a list slot and the int each) and within 1.6x of them
     rs, top = theta_box(label, rank, k)
     roots = rs.positive_root_alpha_coords
-    table = kostant.BoxTable(top, roots)
+    layout = kostant.table_layout(top, roots)
+    table = kostant.BoxTable(layout)
     held = sum(sys.getsizeof(row) + 8 for row in table.rows)
-    assert held <= kostant.height_bytes(top, roots) <= 1.6 * held
+    assert held <= layout.size <= 1.6 * held
 
 
 @pytest.mark.parametrize("label, rank, k", THETA_BOXES)
 def test_rows_end_within_their_excess_bounds(label, rank, k):
     # a row holds no plane past the height bound on the excess of its last
-    # cell x, ht(x) - ceil(ht(x)/h); the top row of a theta multiple reaches it
+    # cell x, the one at the top of every packed axis, ht(x) - ceil(ht(x)/h);
+    # the top row of a theta multiple reaches it
     rs, top = theta_box(label, rank, k)
     roots = rs.positive_root_alpha_coords
-    table = kostant.BoxTable(top, roots)
-    for prefix in itertools.product(*(range(t + 1) for t in top[:-1])):
-        x = prefix + (top[-1],)
-        row = table.rows[sum(map(mul, x, table.strides))]
+    layout = kostant.table_layout(top, roots)
+    table = kostant.BoxTable(layout)
+    ranges = [(t,) if i in layout.packed else range(t + 1) for i, t in enumerate(top)]
+    seen = set()
+    for x in itertools.product(*ranges):
+        index = sum(map(mul, x, table.strides))
+        seen.add(index)
         by_height = sum(x) - -(-sum(x) // table.tallest)
-        assert row.bit_length() <= (by_height + 1) * table.plane, x
+        assert table.rows[index].bit_length() <= (by_height + 1) * table.plane, x
+    assert seen == set(range(len(table.rows)))
     assert table.rows[-1].bit_length() > by_height * table.plane
 
 
@@ -393,10 +501,11 @@ def test_height_bytes_bounds_the_row_estimate(label, rank, k):
     # the estimate is never above rows of ht(top) + 1 full planes each, so no
     # box that fits at full row length is refused
     rs, top = theta_box(label, rank, k)
-    roots = rs.positive_root_alpha_coords
-    plane = (top[-1] + 1) * kostant.coefficient_bound(top, roots).bit_length()
-    full = prod(t + 1 for t in top[:-1]) * (32 + 4 * -(-(sum(top) + 1) * plane // 30))
-    assert kostant.height_bytes(top, roots) <= full
+    layout = kostant.table_layout(top, rs.positive_root_alpha_coords)
+    cells = prod(top[q] + 1 for q in layout.packed)
+    plane = cells * layout.bits
+    full = prod(t + 1 for t in top) // cells * (32 + 4 * -(-(sum(top) + 1) * plane // 30))
+    assert layout.size <= full
 
 
 @pytest.mark.parametrize("label, rank, k, fits", [
@@ -410,8 +519,8 @@ def test_table_budget_at_multiples_of_theta(monkeypatch, label, rank, k, fits):
     # (14,189,175 cells) and A3 at 1000 theta; BoxTable is stubbed, so
     # nothing is filled
     class Unfilled:
-        def __init__(self, top, roots):
-            self.top = top
+        def __init__(self, layout):
+            self.top = layout.top
 
         def lookup(self, coords):
             return QPolynomial.zero()
@@ -434,7 +543,7 @@ def test_over_budget_request_raises_before_building(monkeypatch):
     partition_q_alpha((2, 2), rs)
     table = kostant._DEFAULT_CACHES[rs]
     monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES",
-                        kostant.height_bytes((3, 3), rs.positive_root_alpha_coords) - 1)
+                        estimate((3, 3), rs.positive_root_alpha_coords) - 1)
     with pytest.raises(TableTooLarge, match=r"box \[3, 3\] has 16 cells"):
         partition_q_alpha((3, 3), rs)
     assert kostant._DEFAULT_CACHES[rs] is table
@@ -448,7 +557,7 @@ def test_budget_checks_the_height_estimate(monkeypatch):
     rs, top = theta_box("C", 4, 2)
     roots = rs.positive_root_alpha_coords
     monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
-    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.height_bytes(top, roots) - 1)
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", estimate(top, roots) - 1)
     with pytest.raises(TableTooLarge):
         partition_q_alpha(top, rs)
     monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.TABLE_BUDGET_BYTES + 1)
@@ -466,8 +575,33 @@ def test_height_estimate_at_multiples_of_theta(label, rank, k, fits):
     # rank-7 and rank-8 boxes at 2 theta and B8 at 3 theta fit; E8 at
     # 2 theta and A3 at 1000 theta do not
     rs, top = theta_box(label, rank, k)
-    estimate = kostant.height_bytes(top, rs.positive_root_alpha_coords)
-    assert (estimate <= kostant.TABLE_BUDGET_BYTES) == fits
+    assert (estimate(top, rs.positive_root_alpha_coords) <= kostant.TABLE_BUDGET_BYTES) == fits
+
+
+@pytest.mark.parametrize("label, rank, k", THETA_BOXES + [("E8", 8, 2)])
+def test_floor_is_below_every_estimate(label, rank, k):
+    # one bit per plane of every cell, with (1 - 1/h) ht(x) planes at x, is
+    # never above the estimate of the chosen layout, so refusing on it
+    # refuses nothing that would fit
+    rs, top = theta_box(label, rank, k)
+    layout = kostant.table_layout(top, rs.positive_root_alpha_coords)
+    h = layout.tallest
+    assert layout.bits > 0
+    assert prod(t + 1 for t in top) * sum(top) * (h - 1) // (15 * h) <= layout.size
+
+
+def test_floor_refuses_before_counting_the_width(monkeypatch):
+    # A3 at 1000 theta passes the budget at one bit per plane, so the lookup
+    # is refused without the count of coefficient_bound
+    def no_count(top, roots):
+        raise AssertionError("the width was counted")
+
+    rs = build("A", 3)
+    monkeypatch.setattr(kostant, "coefficient_bound", no_count)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    with pytest.raises(TableTooLarge, match="1,003,003,001 cells"):
+        partition_q_alpha((1000, 1000, 1000), rs)
+    assert rs not in kostant._DEFAULT_CACHES
 
 
 def test_union_over_budget_builds_the_request_alone(monkeypatch):
@@ -477,31 +611,41 @@ def test_union_over_budget_builds_the_request_alone(monkeypatch):
     roots = rs.positive_root_alpha_coords
     monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
     partition_q_alpha((3, 3), rs)
-    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", kostant.height_bytes((4, 2), roots))
-    assert kostant.height_bytes((4, 3), roots) > kostant.TABLE_BUDGET_BYTES
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", estimate((4, 2), roots))
+    assert estimate((4, 3), roots) > kostant.TABLE_BUDGET_BYTES
     assert partition_q_alpha((4, 2), rs) == recursion_oracle(rs, (4, 2))
     assert kostant._DEFAULT_CACHES[rs].top == (4, 2)
 
 
 def test_lookup_estimates_each_box_once(monkeypatch):
-    # a union that fits is estimated once and built; one over the budget is
-    # estimated once before the request alone is
+    # a union that fits is laid out once and built from that layout; one over
+    # the budget is laid out once before the request alone is
     rs = build("B", 2)
     roots = rs.positive_root_alpha_coords
-    estimated = []
-    height_bytes = kostant.height_bytes
+    estimated, built = [], []
+    table_layout, box_table = kostant.table_layout, kostant.BoxTable
 
     def recorded(top, roots):
         estimated.append(top)
-        return height_bytes(top, roots)
+        layout = table_layout(top, roots)
+        built.append(layout)
+        return layout
 
-    monkeypatch.setattr(kostant, "height_bytes", recorded)
+    def from_the_estimate(layout):
+        assert layout is built[-1]
+        return box_table(layout)
+
+    monkeypatch.setattr(kostant, "table_layout", recorded)
+    monkeypatch.setattr(kostant, "BoxTable", from_the_estimate)
     monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
     partition_q_alpha((3, 3), rs)
     partition_q_alpha((4, 2), rs)
     assert estimated == [(3, 3), (4, 3)]
     assert kostant._DEFAULT_CACHES[rs].top == (4, 3)
-    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", height_bytes((4, 4), roots))
+    # a budget the union (5, 3) passes and the request (5, 0) fits
+    budget = table_layout((5, 3), roots).size - 1
+    assert table_layout((5, 0), roots).size <= budget
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", budget)
     partition_q_alpha((5, 0), rs)
     assert estimated == [(3, 3), (4, 3), (5, 3), (5, 0)]
     assert kostant._DEFAULT_CACHES[rs].top == (5, 0)
