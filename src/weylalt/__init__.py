@@ -23,8 +23,7 @@ from .rootsystem import (RootSystem, build, dominant_integral_weights_in_box,
                          is_dominant_integral, sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
                          to_fundamental_coords, to_simple_root_coords)
-from .weyl import (DEFAULT_CAP, WeylElement, enumerate_group, group_order,
-                   identity_element, orbit, simple_reflection)
+from .weyl import DEFAULT_CAP, WeylElement, group_order, orbit
 
 __version__ = "0.1.0"
 
@@ -44,11 +43,9 @@ __all__ = [
     "alternation_set",
     "build",
     "dominant_integral_weights_in_box",
-    "enumerate_group",
     "fundamental_weight",
     "group_order",
     "highest_root",
-    "identity_element",
     "is_dominant",
     "is_dominant_integral",
     "multiplicity",
@@ -58,7 +55,6 @@ __all__ = [
     "partition_q_bruteforce",
     "q_multiplicity",
     "q_multiplicity_terms",
-    "simple_reflection",
     "sum_of_simple_roots",
     "sum_of_simple_roots_in_fundamental_basis",
     "to_fundamental_coords",

@@ -14,10 +14,10 @@ unbounded-knapsack pass per other positive root, one big-int update per row.
 table_layout fixes a table's width and packed axes and estimates its bytes
 once, from its row heights (height_bytes). A lookup outside the box builds a
 new table from that layout, unless the estimate passes TABLE_BUDGET_BYTES:
-then TableTooLarge is raised before anything is allocated. Two independent
-routes are kept as oracles and never merged with it: partition_q_recursive,
-a recursion over a permuted root list, and partition_q_bruteforce, an
-exhaustive search with no memo."""
+then TableTooLarge is raised before anything is allocated.
+partition_q_bruteforce, an exhaustive search with no memo, is kept apart from
+the table as the oracle of `verify oracle`; the tests also check the table
+against a recursion over a permuted root list (tests/oracles.py)."""
 
 from __future__ import annotations
 
@@ -469,53 +469,6 @@ def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
     return table.lookup(coords)
 
 
-def _validated_alpha_coords(xi: Vector, rs: RootSystem) -> tuple[int, ...] | None:
-    """Simple-root coordinates as ints, or None when P_q(xi) is trivially zero."""
-    try:
-        coords = to_simple_root_coords(xi, rs)
-    except NotInRootSpan:
-        return None
-    if any(c.denominator != 1 or c < 0 for c in coords):
-        return None
-    return tuple(int(c) for c in coords)
-
-
-def _recurse(target: tuple[int, ...], index: int,
-             roots: Sequence[tuple[int, ...]],
-             memo: dict[tuple[tuple[int, ...], int], tuple[int, ...]]
-             ) -> tuple[int, ...]:
-    """Coefficients of P_q(target) using roots[index:] only; memo is per call."""
-    if not any(target):
-        return (1,)
-    if index == len(roots):
-        return ()
-    key = (target, index)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    acc = list(_recurse(target, index + 1, roots, memo))
-    root = roots[index]
-    current = target
-    multiplicity = 0
-    while True:
-        reduced = tuple(a - b for a, b in zip(current, root))
-        if any(c < 0 for c in reduced):
-            break
-        multiplicity += 1
-        sub = _recurse(reduced, index + 1, roots, memo)
-        need = multiplicity + len(sub)
-        if len(acc) < need:
-            acc.extend([0] * (need - len(acc)))
-        for power, c in enumerate(sub):
-            acc[multiplicity + power] += c
-        current = reduced
-    while acc and acc[-1] == 0:
-        acc.pop()
-    result = tuple(acc)
-    memo[key] = result
-    return result
-
-
 def partition_q_alpha(coords: Sequence[int], rs: RootSystem) -> QPolynomial:
     """P_q for a vector given directly by simple-root coordinates."""
     if len(coords) != rs.rank:
@@ -542,20 +495,6 @@ def partition(xi: Vector, rs: RootSystem) -> int:
     return partition_q(xi, rs).evaluate(1)
 
 
-def partition_q_recursive(xi: Vector, rs: RootSystem,
-                          root_order: Sequence[int]) -> QPolynomial:
-    """Independent oracle: the memoized recursion over the positive roots in
-    root_order, a permutation of their indices (ValueError otherwise). Same
-    contract as partition_q, whose value must not depend on the order."""
-    roots = rs.positive_root_alpha_coords
-    if sorted(root_order) != list(range(len(roots))):
-        raise ValueError("root_order must be a permutation of the positive roots")
-    coords = _validated_alpha_coords(xi, rs)
-    if coords is None:
-        return QPolynomial.zero()
-    return QPolynomial(_recurse(coords, 0, tuple(roots[i] for i in root_order), {}))
-
-
 def partition_q_bruteforce(xi: Vector, rs: RootSystem) -> QPolynomial:
     """Independent oracle: exhaustively enumerate every decomposition.
 
@@ -563,9 +502,13 @@ def partition_q_bruteforce(xi: Vector, rs: RootSystem) -> QPolynomial:
     reversed order; HeightExceeded for inputs of height above
     BRUTE_FORCE_MAX_HEIGHT since the search tree is unbounded otherwise.
     """
-    coords = _validated_alpha_coords(xi, rs)
-    if coords is None:
+    try:
+        coords = to_simple_root_coords(xi, rs)
+    except NotInRootSpan:
         return QPolynomial.zero()
+    if any(c.denominator != 1 or c < 0 for c in coords):
+        return QPolynomial.zero()
+    coords = tuple(int(c) for c in coords)
     if sum(coords) > BRUTE_FORCE_MAX_HEIGHT:
         raise HeightExceeded(
             f"height {sum(coords)} exceeds brute-force bound {BRUTE_FORCE_MAX_HEIGHT}")

@@ -30,10 +30,6 @@ def sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def neg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
 def scale(c, u: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in u)
@@ -43,14 +39,6 @@ def dot(u: Vector, v: Vector) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
-
-
-def matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vector(row) for row in rows)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:

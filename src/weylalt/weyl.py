@@ -1,17 +1,15 @@
 """Weyl group elements as lex-least reduced words over a root system.
 
 An element is its lexicographically least reduced word, and it acts on
-ambient vectors only by applying the word's simple reflections. Breadth-first
-enumeration keyed on w^-1(rho) (frontier in word order, generators ascending)
-discovers exactly that word for every element; it is kept as the independent
-oracle for the weak-order walk that finds alternation sets.
+ambient vectors only by applying the word's simple reflections. The
+weak-order walk in multiplicity produces those words; the tests check it
+against a breadth-first enumeration of the whole group (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from . import lattice
 from .errors import CapExceeded
@@ -26,8 +24,7 @@ class WeylElement:
     """One group element; equality and hashing go by the word.
 
     The word must be the element's lex-least reduced word, as produced by
-    enumerate_group and the alternation-set walk, so equal elements have
-    equal words.
+    the alternation-set walk, so equal elements have equal words.
     """
 
     word: tuple[int, ...]
@@ -44,10 +41,6 @@ class WeylElement:
     @property
     def length(self) -> int:
         return len(self.word)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.word
 
     def act(self, v: Vector) -> Vector:
         """Apply the element to an ambient vector, rightmost reflection first."""
@@ -73,17 +66,6 @@ def check_cap(rs: RootSystem, cap: int) -> None:
         raise CapExceeded(f"|W({rs})| = {order} exceeds cap {cap}")
 
 
-def identity_element(rs: RootSystem) -> WeylElement:
-    return WeylElement((), rs)
-
-
-def simple_reflection(i: int, rs: RootSystem) -> WeylElement:
-    """Reflection s_i in the simple root alpha_i, 1-based."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"reflection index {i} out of range for {rs}")
-    return WeylElement((i,), rs)
-
-
 def coxeter_order(rs: RootSystem, i: int, j: int) -> int:
     """Order of s_i s_j from the Cartan matrix (1-based indices)."""
     if i == j:
@@ -101,7 +83,7 @@ def generators(rs: RootSystem) -> tuple[WeylElement, ...]:
     that fixes every simple root is the identity. The result is cached per
     RootSystem object; a failed check raises and caches nothing.
     """
-    gens = tuple(simple_reflection(i, rs) for i in range(1, rs.rank + 1))
+    gens = tuple(WeylElement((i,), rs) for i in range(1, rs.rank + 1))
     for i in range(1, rs.rank + 1):
         for j in range(i, rs.rank + 1):
             s_i, s_j = gens[i - 1], gens[j - 1]
@@ -115,40 +97,6 @@ def generators(rs: RootSystem) -> tuple[WeylElement, ...]:
                         raise RuntimeError(f"{rs}: s_{i} is not an involution")
                     raise RuntimeError(f"{rs}: braid relation for (s_{i}, s_{j}) failed")
     return gens
-
-
-def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> Iterator[WeylElement]:
-    """Yield every element once, in nondecreasing length, words lex-least.
-
-    Raises CapExceeded up front when the group order surpasses cap; the
-    default cap keeps E7/E8 from being enumerated by accident. The search is
-    keyed on w^-1(rho): rho is regular, so the keys are in bijection with W,
-    and the child w*s_g has key s_g(w^-1(rho)), one reflection away.
-    """
-    check_cap(rs, cap)
-    gens = generators(rs)
-    ident = identity_element(rs)
-    seen = {rs.rho}
-    frontier = [(ident, rs.rho)]
-    yield ident
-    while frontier:
-        new_frontier = []
-        for w, key in frontier:
-            for g in gens:
-                child_key = g.act(key)
-                if child_key in seen:
-                    continue
-                seen.add(child_key)
-                element = WeylElement(w.word + g.word, rs)
-                new_frontier.append((element, child_key))
-                yield element
-        frontier = new_frontier
-
-
-def inversion_length(w: WeylElement, rs: RootSystem) -> int:
-    """Number of positive roots sent negative; equals len(w.word)."""
-    positives = set(rs.positive_roots)
-    return sum(1 for alpha in rs.positive_roots if w.act(alpha) not in positives)
 
 
 def orbit(v: Vector, rs: RootSystem) -> frozenset[Vector]:

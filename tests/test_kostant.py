@@ -12,12 +12,13 @@ import pytest
 from weylalt import kostant, lattice
 from weylalt.errors import HeightExceeded, TableTooLarge
 from weylalt.kostant import (QPolynomial, partition, partition_q,
-                             partition_q_alpha, partition_q_bruteforce,
-                             partition_q_recursive)
+                             partition_q_alpha, partition_q_bruteforce)
 from weylalt.multiplicity import _ambient_start, _survivor_terms
 from weylalt.rootsystem import (TYPES, build, fundamental_weight, highest_root,
                                 to_simple_root_coords)
 from weylalt.weyl import group_order
+
+from tests.oracles import partition_q_recursive
 
 
 def combo(rs, coords):

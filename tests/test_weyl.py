@@ -1,5 +1,6 @@
-"""Weyl groups as reduced words acting by simple reflections: enumeration,
-the Coxeter relation check, words, lengths, orbits."""
+"""Weyl groups as reduced words acting by simple reflections: the Coxeter
+relation check, words, lengths and orbits, with the breadth-first
+enumeration of tests/oracles.py as the reference."""
 
 import random
 from fractions import Fraction
@@ -10,9 +11,9 @@ from weylalt import lattice, weyl
 from weylalt.errors import CapExceeded
 from weylalt.multiplicity import alternation_set
 from weylalt.rootsystem import build, fundamental_weight, highest_root
-from weylalt.weyl import (WeylElement, enumerate_group, generators,
-                          group_order, identity_element, inversion_length,
-                          orbit, simple_reflection)
+from weylalt.weyl import WeylElement, generators, group_order, orbit
+
+from tests.oracles import enumerate_group, inversion_length
 
 ORDERS = {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("B", 2): 8, ("B", 3): 48,
           ("B", 4): 384, ("C", 3): 48, ("D", 4): 192, ("G2", 2): 12,
@@ -33,7 +34,7 @@ def test_enumeration_matches_order(label, rank):
     elements = list(enumerate_group(rs))
     assert len(elements) == ORDERS[(label, rank)]
     assert len(set(elements)) == len(elements)
-    assert elements[0].is_identity
+    assert elements[0].word == ()
 
 
 def test_enumeration_lengths_nondecreasing():
@@ -56,21 +57,12 @@ def test_cap_contract():
 
 def test_simple_reflection_involution_and_action():
     rs = build("B", 2)
-    s1 = simple_reflection(1, rs)
-    s2 = simple_reflection(2, rs)
+    s1, s2 = generators(rs)
     v = lattice.vector([3, Fraction(1, 2)])
     assert s1.act(v) == (Fraction(1, 2), 3)  # swap
     assert s2.act(v) == (3, Fraction(-1, 2))  # flip last sign
     assert s1.act(s1.act(v)) == v
     assert s2.act(s2.act(v)) == v
-
-
-def test_simple_reflection_index_range():
-    rs = build("B", 2)
-    with pytest.raises(ValueError):
-        simple_reflection(0, rs)
-    with pytest.raises(ValueError):
-        simple_reflection(3, rs)
 
 
 @pytest.mark.parametrize("label, rank", [("B", 3), ("G2", 2), ("C", 3)])
@@ -140,8 +132,8 @@ def test_orbit_preserves_norm():
 
 def test_identity_element():
     rs = build("C", 3)
-    e = identity_element(rs)
-    assert e.is_identity and e.word == () and e.length == 0
+    e = WeylElement((), rs)
+    assert e.word == () and e.length == 0
     assert str(e) == "e"
 
 
@@ -151,12 +143,12 @@ def test_elements_equal_by_word():
         again = WeylElement(w.word, rs)
         assert again == w and hash(again) == hash(w)
     assert WeylElement((), rs) != WeylElement((), build("C", 3))
-    assert simple_reflection(1, rs) != simple_reflection(2, rs)
+    assert WeylElement((1,), rs) != WeylElement((2,), rs)
 
 
 def test_str_words():
     rs = build("B", 3)
-    assert str(simple_reflection(2, rs)) == "s2"
+    assert str(generators(rs)[1]) == "s2"
     assert str(WeylElement((2, 3), rs)) == "s2*s3"
 
 
