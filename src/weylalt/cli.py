@@ -18,25 +18,25 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import lattice
 from .combinatorics import (fibonacci, nonconsecutive_subsets,
                             verify_alternating_identity)
-from .errors import CapExceeded, NotInRootSpan, TableTooLarge, WeylaltError
+from .errors import CapExceeded, TableTooLarge, WeylaltError
 from .kostant import QPolynomial, partition_q, partition_q_bruteforce
 from .multiplicity import (Start, alternating_sum, alternation_set,
-                           integer_start, predicted_alternation_set_B,
+                           integer_start, integer_weight,
+                           predicted_alternation_set_B,
                            predicted_count_by_length_B, predicted_pq_B,
                            q_multiplicity, q_multiplicity_terms, start_terms,
                            weight_diagram)
 from .rootsystem import (TYPES, build, dominant_integral_weights_in_box,
-                         fundamental_weight, highest_root, is_dominant,
-                         sum_of_simple_roots,
+                         fundamental_weight, highest_root, in_root_span,
+                         is_dominant, sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
-                         to_fundamental_coords, to_simple_root_coords)
+                         to_fundamental_coords)
 from .weyl import DEFAULT_CAP, group_order, orbit
 
 EXIT_OK = 0
@@ -219,25 +219,18 @@ def parse_weight(text: str, rs) -> ParsedWeight:
         pos = m.end()
     if eps is None:
         return ParsedWeight(named, 1, None)
-    pairings = [rs.coroot_pairing(eps, i) for i in range(1, rs.rank + 1)]
-    d = lcm(*(p.denominator for p in pairings))
-    return ParsedWeight(tuple(d * c + int(d * p) for c, p in zip(named, pairings)),
-                        d, eps)
+    coords, d = integer_weight(eps, rs)
+    return ParsedWeight(tuple(d * c + e for c, e in zip(named, coords)), d, eps)
 
 
 def _walk_start(lam: ParsedWeight, mu: ParsedWeight, rs) -> Start | None:
-    """The walk's start for two parsed weights; None when lambda - mu is
-    outside the root span. Named terms lie in the span, so only the eps:
-    parts are tested."""
+    """The walk's start for two parsed weights; None when their eps: parts,
+    all that can leave the root span, differ off it."""
     if lam.eps is not None or mu.eps is not None:
         zero = lattice.zeros(rs.ambient_dim)
-        try:
-            to_simple_root_coords(lattice.sub(lam.eps or zero, mu.eps or zero), rs)
-        except NotInRootSpan:
+        if not in_root_span(lattice.sub(lam.eps or zero, mu.eps or zero), rs):
             return None
-    d = lcm(lam.denominator, mu.denominator)
-    return integer_start([c * (d // lam.denominator) for c in lam.coords],
-                         [c * (d // mu.denominator) for c in mu.coords], d, rs)
+    return integer_start(lam[:2], mu[:2], rs)
 
 
 def _resolve_cap(args) -> int:
@@ -342,15 +335,10 @@ def suite_fibonacci(max_rank: int, cap: int, seed: int) -> list:
                                     _text_value(word), False))
                 continue
             checks.append(check(f"B{r} pq {element}", expected_pq, pq))
-        expected_histogram = {}
-        for has_sr in (False, True):
-            k = 0
-            while True:
-                count = predicted_count_by_length_B(r, k, has_sr)
-                if count == 0:
-                    break
-                expected_histogram[(k, has_sr)] = count
-                k += 1
+        # a count is nonzero for k up to about r/2 and zero from there on
+        expected_histogram = {(k, has_sr): count for has_sr in (False, True)
+                              for k in range(r)
+                              if (count := predicted_count_by_length_B(r, k, has_sr))}
         checks.append(check(f"B{r} histogram",
                             sorted(expected_histogram.items()),
                             sorted(histogram.items())))

@@ -19,11 +19,12 @@ lowers xi and the walk stops at the first negative coordinate: it visits only
 elements with xi >= 0. Regularity of lambda+rho is not needed. When
 lambda+rho is not dominant the same walk runs over all of W without pruning.
 
-The walk starts from integers: xi_e and the pairings of lambda+rho, scaled
-by one common denominator. The command line builds them from integer
-fundamental-weight coordinates with the integer adjugate of C
-(integer_start); the ambient entries below build them with one Fraction
-solve (_ambient_start).
+The walk starts from integers: xi_e and the pairings of lambda+rho over one
+common scale, built by integer_start alone from integer fundamental-weight
+coordinates with the integer adjugate of C. An ambient weight becomes such
+coordinates once, by its coroot pairings (integer_weight): the library
+entries convert lambda and mu, the command line its summed eps: terms. Off
+the root span, tested only in A, G2, E6 and E7 (in_root_span), none survive.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from typing import Iterable, Sequence
 
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
-from .errors import NotInRootSpan
 from .kostant import QPolynomial, _table_lookup
 from .lattice import Vector
-from .rootsystem import RootSystem, is_dominant_integral, to_simple_root_coords
+from .rootsystem import RootSystem, in_root_span, is_dominant_integral
 from .weyl import DEFAULT_CAP, WeylElement, check_cap
 
 
@@ -67,43 +67,44 @@ class WeightDiagramEntry:
 # to integers by one common positive scale, and that scale.
 Start = tuple[tuple[int, ...], tuple[int, ...], int]
 
+# A weight as integer fundamental-weight coordinates over one denominator.
+IntegerWeight = tuple[Sequence[int], int]
 
-def integer_start(lam: Sequence[int], mu: Sequence[int], denominator: int,
-                  rs: RootSystem) -> Start:
-    """The walk's start for lambda and mu given as integer fundamental-weight
-    coordinates over one denominator d.
 
-    xi_e = C^-1 (lambda - mu) / d = adj(C) (lambda - mu) / (det(C) d), and
-    the pairings of lambda+rho are (lambda + d) / d, so the scale det(C) d
-    makes both integer without a Fraction.
-    """
+def integer_weight(w: Vector, rs: RootSystem) -> IntegerWeight:
+    """An ambient weight as integer fundamental-weight coordinates over one
+    denominator: its coroot pairings over their least common denominator."""
+    pairings = [rs.coroot_pairing(w, i) for i in range(1, rs.rank + 1)]
+    d = lcm(*(p.denominator for p in pairings))
+    return tuple(p.numerator * (d // p.denominator) for p in pairings), d
+
+
+def integer_start(lam: IntegerWeight, mu: IntegerWeight, rs: RootSystem) -> Start:
+    """The walk's start for lambda and mu, integer fundamental-weight
+    coordinates each over its own denominator. Over their common d,
+    xi_e = C^-1 (lambda - mu) / d = adj(C) (lambda - mu) / (det(C) d) and the
+    pairings of lambda+rho are (lambda + d) / d, so the scale det(C) d makes
+    both integer without a Fraction."""
+    (lam, lam_d), (mu, mu_d) = lam, mu
+    d = lcm(lam_d, mu_d)
+    lam = [c * (d // lam_d) for c in lam]
+    difference = [a - c * (d // mu_d) for a, c in zip(lam, mu)]
     det = rs.cartan_determinant
-    difference = tuple(map(sub, lam, mu))
     top = tuple(sum(map(mul, row, difference)) for row in rs.cartan_adjugate)
-    return top, tuple(det * (c + denominator) for c in lam), det * denominator
+    return top, tuple(det * (c + d) for c in lam), det * d
 
 
-def _ambient_start(lam: Vector, mu: Vector, rs: RootSystem) -> Start | None:
-    """The walk's start for ambient lambda and mu; None when lambda - mu is
-    outside the root span, which leaves no survivors."""
-    try:
-        top = to_simple_root_coords(lattice.sub(lam, mu), rs)
-    except NotInRootSpan:
+def _start(lam: Vector, mu: Vector, rs: RootSystem) -> Start | None:
+    """integer_start for ambient lambda and mu; None off the root span."""
+    if not in_root_span(lattice.sub(lam, mu), rs):
         return None
-    shifted = lattice.add(lam, rs.rho)
-    pairings = tuple(rs.coroot_pairing(shifted, i) for i in range(1, rs.rank + 1))
-    scale = lcm(*(c.denominator for c in top + pairings))
-    return (tuple(int(c * scale) for c in top),
-            tuple(int(c * scale) for c in pairings), scale)
+    return integer_start(integer_weight(lam, rs), integer_weight(mu, rs), rs)
 
 
 def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
-    """(element, xi simple-root coordinates) for every survivor of a start.
-
-    The walk runs on the scaled integers of the start, so eps: weights walk
-    on integers too; a start of None has no survivors. Each xi is a tuple of
-    nonnegative ints, so the P_q table reads it without further checks.
-    """
+    """(element, xi simple-root coordinates) for every survivor of a start,
+    none for a start of None. The walk runs on the start's scaled integers;
+    each xi is a tuple of nonnegative ints, which the P_q table reads as is."""
     check_cap(rs, cap)
     if start is None:
         return []
@@ -141,7 +142,7 @@ def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
 def alternation_set(lam: Vector, mu: Vector, rs: RootSystem,
                     cap: int = DEFAULT_CAP) -> AlternationSet:
     """The Weyl alternation set of (lambda, mu)."""
-    terms = _survivor_terms(_ambient_start(lam, mu, rs), rs, cap)
+    terms = _survivor_terms(_start(lam, mu, rs), rs, cap)
     return AlternationSet(lam, mu, frozenset(element for element, _ in terms))
 
 
@@ -166,7 +167,7 @@ def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
     mu the sum is Lusztig's q-analog of weight multiplicity, the
     Kostka-Foulkes polynomial K_lambda,mu(q) (Kato 1982), whose coefficients
     are nonnegative."""
-    terms = _survivor_terms(_ambient_start(lam, mu, rs), rs, cap)
+    terms = _survivor_terms(_start(lam, mu, rs), rs, cap)
     return alternating_sum((element, _table_lookup(coords, rs))
                            for element, coords in terms)
 
@@ -192,7 +193,7 @@ def q_multiplicity_terms(lam: Vector, mu: Vector, rs: RootSystem,
                          cap: int = DEFAULT_CAP
                          ) -> list[tuple[WeylElement, QPolynomial]]:
     """Per-element P_q values over the alternation set, sign not applied."""
-    return start_terms(_ambient_start(lam, mu, rs), rs, cap)
+    return start_terms(_start(lam, mu, rs), rs, cap)
 
 
 def weight_diagram(lam: Vector, rs: RootSystem,

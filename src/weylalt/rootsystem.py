@@ -240,6 +240,15 @@ def to_fundamental_coords(w: Vector, rs: RootSystem) -> Vector:
     return _coords(w, rs)[0]
 
 
+def in_root_span(w: Vector, rs: RootSystem) -> bool:
+    """Whether w lies in the span of the simple roots: the whole ambient space
+    but in A, G2, E6 and E7, where w is in it iff its coroot pairings, as
+    fundamental coordinates, give w back."""
+    return rs.ambient_dim == rs.rank or _expand(
+        [rs.coroot_pairing(w, i) for i in range(1, rs.rank + 1)],
+        rs.fundamental_weights) == w
+
+
 def is_dominant(w: Vector, rs: RootSystem) -> bool:
     return all(c >= 0 for c in to_fundamental_coords(w, rs))
 

@@ -1,17 +1,20 @@
 """Slow, independent references that the tests check the library against.
 
 Breadth-first enumeration of the whole Weyl group checks the weak-order walk
-that finds alternation sets; a memoized recursion over a permuted root list
-checks the P_q table; Kostka-Foulkes polynomials by charge check the
-q-analog of weight multiplicity in type A. None of them imports
+that finds alternation sets, and a Fraction solve in ambient coordinates
+checks the integer start the walk begins from; a memoized recursion over a
+permuted root list checks the P_q table; Kostka-Foulkes polynomials by
+charge check the q-analog of weight multiplicity in type A. None of them imports
 weylalt.multiplicity or the table behind kostant.partition_q, so none shares
 the code it checks.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterator, Sequence
 
+from weylalt import lattice
 from weylalt.errors import NotInRootSpan
 from weylalt.kostant import QPolynomial
 from weylalt.lattice import Vector
@@ -53,6 +56,22 @@ def inversion_length(w: WeylElement, rs: RootSystem) -> int:
     """Number of positive roots sent negative; equals len(w.word)."""
     positives = set(rs.positive_roots)
     return sum(1 for alpha in rs.positive_roots if w.act(alpha) not in positives)
+
+
+def ambient_start(lam: Vector, mu: Vector, rs: RootSystem):
+    """The walk's start for ambient lambda and mu by a Fraction solve: xi_e
+    and the coroot pairings of lambda+rho over their least common
+    denominator, and that denominator; None when lambda - mu is outside the
+    root span, which leaves no survivors."""
+    try:
+        top = to_simple_root_coords(lattice.sub(lam, mu), rs)
+    except NotInRootSpan:
+        return None
+    shifted = lattice.add(lam, rs.rho)
+    pairings = tuple(rs.coroot_pairing(shifted, i) for i in range(1, rs.rank + 1))
+    scale = lcm(*(c.denominator for c in top + pairings))
+    return (tuple(int(c * scale) for c in top),
+            tuple(int(c * scale) for c in pairings), scale)
 
 
 # === the q-analog of the Kostant partition function ===

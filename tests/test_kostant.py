@@ -13,12 +13,12 @@ from weylalt import kostant, lattice
 from weylalt.errors import HeightExceeded, TableTooLarge
 from weylalt.kostant import (QPolynomial, partition, partition_q,
                              partition_q_alpha, partition_q_bruteforce)
-from weylalt.multiplicity import _ambient_start, _survivor_terms
+from weylalt.multiplicity import _survivor_terms
 from weylalt.rootsystem import (TYPES, build, fundamental_weight, highest_root,
                                 to_simple_root_coords)
 from weylalt.weyl import group_order
 
-from tests.oracles import partition_q_recursive
+from tests.oracles import ambient_start, partition_q_recursive
 
 
 def combo(rs, coords):
@@ -273,7 +273,7 @@ def test_box_table_on_unpruned_b2_terms(monkeypatch):
     for lam in (lattice.sub(w2, w1), lattice.sub(w2, lattice.scale(3, w1))):
         for c in [(0, 0), (1, 2), (2, 2), (3, 3), (4, 1)]:
             mu = lattice.sub(lam, combo(rs, c))
-            start = _ambient_start(lam, mu, rs)
+            start = ambient_start(lam, mu, rs)
             for _, coords in _survivor_terms(start, rs, group_order(rs)):
                 assert_matches_oracles(rs, coords, partition_q_alpha(coords, rs))
                 checked += 1

@@ -1,7 +1,10 @@
 """Alternation sets, multiplicities, q-analogs, weight diagrams, predictions."""
 
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,8 +12,8 @@ from weylalt import lattice
 from weylalt.combinatorics import lucas
 from weylalt.errors import CapExceeded, NotInRootSpan
 from weylalt.kostant import QPolynomial, partition_q
-from weylalt.multiplicity import (_ambient_start, _survivor_terms,
-                                  alternation_set, integer_start, multiplicity,
+from weylalt.multiplicity import (_start, _survivor_terms, alternation_set,
+                                  integer_start, integer_weight, multiplicity,
                                   predicted_alternation_set_B,
                                   predicted_count_by_length_B, predicted_pq_B,
                                   q_multiplicity, q_multiplicity_terms,
@@ -20,7 +23,8 @@ from weylalt.rootsystem import (build, dominant_integral_weights_in_box,
                                 sum_of_simple_roots, to_simple_root_coords)
 from weylalt.weyl import WeylElement, generators, group_order
 
-from tests.oracles import enumerate_group, kostka_foulkes, partitions
+from tests.oracles import (ambient_start, enumerate_group, kostka_foulkes,
+                           partitions)
 
 
 def zero_of(rs):
@@ -182,7 +186,7 @@ def test_fast_path_matches_enumeration(label, rank):
     count = 3 if len(elements) <= 200 else 2 if len(elements) <= 400 else 1
     nontrivial = 0
     for lam, mu in survivor_cases(rs, rng, count):
-        terms = _survivor_terms(_ambient_start(lam, mu, rs), rs, group_order(rs))
+        terms = _survivor_terms(ambient_start(lam, mu, rs), rs, group_order(rs))
         walked = {(w.word, c) for w, c in terms}
         assert len(walked) == len(terms)  # each element reached once
         assert walked == enumerated_survivors(elements, lam, mu, rs)
@@ -190,29 +194,142 @@ def test_fast_path_matches_enumeration(label, rank):
     assert nontrivial >= 2
 
 
-@pytest.mark.parametrize("label, rank", [
-    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4), ("E6", 6),
-    ("E7", 7), ("E8", 8)])
+def weight_of(coords, d, rs):
+    """The ambient weight with fundamental coordinates coords / d."""
+    v = lattice.zeros(rs.ambient_dim)
+    for c, omega in zip(coords, rs.fundamental_weights):
+        v = lattice.add(v, lattice.scale(Fraction(c, d), omega))
+    return v
+
+
+NINE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
+              ("E6", 6), ("E7", 7), ("E8", 8)]
+
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
 def test_integer_start_is_the_ambient_start(label, rank):
-    # integer fundamental coordinates over d through adj(C) and det(C) give
-    # the ambient conversion's xi_e and pairings, up to the common scale
+    # integer fundamental coordinates, each weight over its own d, through
+    # adj(C) and det(C) give the Fraction solve's xi_e and pairings, up to
+    # the common scale; integer_weight reads the coordinates back in lowest
+    # terms
     rs = build(label, rank)
     rng = random.Random(41)
 
-    def ambient(coords, d):
-        v = lattice.zeros(rs.ambient_dim)
-        for c, omega in zip(coords, rs.fundamental_weights):
-            v = lattice.add(v, lattice.scale(Fraction(c, d), omega))
-        return v
-
     for _ in range(10):
-        d = rng.choice([1, 2, 3])
+        lam_d, mu_d = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
         lam = [rng.randint(-4, 4) for _ in range(rank)]
         mu = [rng.randint(-4, 4) for _ in range(rank)]
-        top, pairings, scale = integer_start(lam, mu, d, rs)
-        a_top, a_pairings, a_scale = _ambient_start(ambient(lam, d), ambient(mu, d), rs)
+        top, pairings, scale = integer_start((lam, lam_d), (mu, mu_d), rs)
+        a_top, a_pairings, a_scale = ambient_start(weight_of(lam, lam_d, rs),
+                                                   weight_of(mu, mu_d, rs), rs)
         assert [Fraction(x, scale) for x in top + pairings] == \
             [Fraction(x, a_scale) for x in a_top + a_pairings]
+        coords, d = integer_weight(weight_of(lam, lam_d, rs), rs)
+        assert [Fraction(c, d) for c in coords] == [Fraction(c, lam_d) for c in lam]
+        assert all(type(c) is int for c in coords + (d,))
+        assert d == lcm(*(Fraction(c, lam_d).denominator for c in lam))
+
+
+UNPRUNED_MAX_ORDER = 1152  # a walk that cannot prune visits all of W
+
+
+def off_span_unit(rs):
+    """The first e_k outside the root span, None when the roots span."""
+    for k in range(rs.ambient_dim):
+        e = lattice.vector(int(j == k) for j in range(rs.ambient_dim))
+        try:
+            to_simple_root_coords(e, rs)
+        except NotInRootSpan:
+            return e
+    return None
+
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
+def test_library_start_matches_the_fraction_solve(label, rank):
+    # seeded lambda over denominators 1 to 3, non-dominant, with lambda+rho
+    # singular or, in the small groups, not dominant; mu off lambda by simple
+    # roots, or anywhere in the small groups, or moved off the root span where
+    # A, G2, E6 and E7 leave room. The library's survivors and xi are those of
+    # the Fraction solve's start, and off the span there are none. In the
+    # large groups one coordinate of lambda+rho at most is below 1: a walk
+    # from a lambda+rho near 0 prunes little and visits much of W.
+    rs = build(label, rank)
+    order = group_order(rs)
+    rng = random.Random(f"domain {label}{rank}")
+    off = off_span_unit(rs)
+    assert (off is None) == (label in ("B", "C", "D", "F4", "E8"))
+
+    seen = Counter()
+    for draw in range(18):
+        d = draw % 3 + 1
+        small = order <= UNPRUNED_MAX_ORDER
+        lam_coords = [rng.randint(-3 * d if small else 0, 2 * d) for _ in range(rank)]
+        if not small:
+            lam_coords[rng.randrange(rank)] = rng.randint(-d, 0)
+        lam = weight_of(lam_coords, d, rs)
+        if small and rng.random() < 0.3:
+            mu = weight_of([rng.randint(-6, 6) for _ in range(rank)],
+                           rng.choice([1, 2, 3]), rs)
+        else:
+            steps = [-1, 0, 1, 2] if rng.random() < 0.25 else [0, 1, 2]
+            drop = lattice.zeros(rs.ambient_dim)
+            for alpha in rs.simple_roots:
+                drop = lattice.add(drop, lattice.scale(rng.choice(steps), alpha))
+            mu = lattice.sub(lam, drop)
+        moved = off is not None and rng.random() < 0.3
+        if moved:
+            mu = lattice.add(mu, off)
+        expected = _survivor_terms(ambient_start(lam, mu, rs), rs, order)
+        walked = _survivor_terms(_start(lam, mu, rs), rs, order)
+        assert sorted((w.word, xi) for w, xi in walked) == \
+            sorted((w.word, xi) for w, xi in expected)
+        assert alternation_set(lam, mu, rs, order).elements == {w for w, _ in expected}
+        if moved:
+            assert not walked
+            assert q_multiplicity(lam, mu, rs, order) == QPolynomial.zero()
+        shifted = [c + d for c in lam_coords]
+        seen.update(survivors=bool(walked), off_span=moved,
+                    non_dominant=min(lam_coords) < 0, singular=0 in shifted,
+                    unpruned=min(shifted) < 0,
+                    **{f"d={integer_weight(lam, rs)[1]}": 1})
+    assert seen["survivors"] and seen["non_dominant"] and seen["singular"]
+    assert seen["d=2"] and seen["d=3"]
+    assert seen["off_span"] or off is None
+    assert seen["unpruned"] or order > UNPRUNED_MAX_ORDER
+    # a vector of the wrong length is refused, alone or in a pair
+    lam = highest_root(rs)
+    for bad in ((lam + (Fraction(0),), zero_of(rs) + (Fraction(0),)),
+                (lam[:-1], zero_of(rs)), (lam, zero_of(rs)[:-1])):
+        with pytest.raises(ValueError):
+            alternation_set(*bad, rs, order)
+        with pytest.raises(ValueError):
+            q_multiplicity(*bad, rs, order)
+
+
+@pytest.mark.parametrize("label, rank", [("B", 4), ("C", 3), ("D", 4), ("F4", 4),
+                                         ("E8", 8)])
+def test_spanning_types_start_without_the_fraction_solve(label, rank, monkeypatch):
+    # the simple roots span the ambient space, so the library entries need
+    # neither the Fraction solve nor a matrix product to start the walk
+    rs = build(label, rank)
+    order = group_order(rs)
+    theta, zero = highest_root(rs), zero_of(rs)
+    two_theta = lattice.scale(2, theta)
+    expected = (alternation_set(theta, zero, rs, order),
+                q_multiplicity(two_theta, theta, rs, order))
+
+    def refuse(*args):
+        raise AssertionError("the walk's start reached the Fraction solve")
+
+    monkeypatch.setattr(lattice, "mat_vec", refuse)
+    for name in ("rootsystem", "multiplicity", "kostant", "cli"):
+        module = importlib.import_module(f"weylalt.{name}")
+        if hasattr(module, "to_simple_root_coords"):
+            monkeypatch.setattr(module, "to_simple_root_coords", refuse)
+    assert (alternation_set(theta, zero, rs, order),
+            q_multiplicity(two_theta, theta, rs, order)) == expected
+    with pytest.raises(AssertionError, match="Fraction solve"):
+        ambient_start(theta, zero, rs)
 
 
 def test_singular_shift_b2():
@@ -268,6 +385,20 @@ def test_q_multiplicity_is_kostka_foulkes_in_type_a():
                             == kostka_foulkes(lam, mu)), (rank, lam, mu)
                     pairs += 1
     assert pairs == 491
+
+
+@pytest.mark.parametrize("label, rank", [
+    ("A", 2), ("B", 2), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4), ("E6", 6),
+    ("E7", 7), ("E8", 8)])
+def test_q_multiplicity_at_theta_is_positive_and_monic(label, rank):
+    # Lusztig's q-analog at dominant mu = theta below lambda = 2 theta has no
+    # negative coefficient and is monic of degree ht(2 theta - theta)
+    rs = build(label, rank)
+    theta = highest_root(rs)
+    mq = q_multiplicity(lattice.scale(2, theta), theta, rs, group_order(rs))
+    height = max(map(sum, rs.positive_root_alpha_coords))
+    assert min(mq.coeffs) >= 0
+    assert len(mq.coeffs) == height + 1 and mq.coeffs[-1] == 1
 
 
 # === cap contract ===

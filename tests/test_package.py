@@ -24,6 +24,7 @@ def test_every_exported_name_resolves(name):
     ("kostant", "_recurse"),
     ("kostant", "partition_q_recursive"),
     ("kostant", "_validated_alpha_coords"),
+    ("multiplicity", "_ambient_start"),
     ("lattice", "neg"),
     ("lattice", "is_zero"),
     ("lattice", "matrix"),
