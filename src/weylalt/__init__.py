@@ -18,9 +18,8 @@ from .kostant import QPolynomial, partition, partition_q, partition_q_bruteforce
 from .multiplicity import (AlternationSet, WeightDiagramEntry,
                            alternation_set, multiplicity, q_multiplicity,
                            q_multiplicity_terms, weight_diagram)
-from .rootsystem import (RootSystem, build, dominant_integral_weights_in_box,
-                         fundamental_weight, highest_root, is_dominant,
-                         is_dominant_integral, sum_of_simple_roots,
+from .rootsystem import (RootSystem, build, fundamental_weight, highest_root,
+                         is_dominant, is_dominant_integral, sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
                          to_fundamental_coords, to_simple_root_coords)
 from .weyl import DEFAULT_CAP, WeylElement, group_order, orbit
@@ -42,7 +41,6 @@ __all__ = [
     "WeylaltError",
     "alternation_set",
     "build",
-    "dominant_integral_weights_in_box",
     "fundamental_weight",
     "group_order",
     "highest_root",

@@ -32,9 +32,8 @@ from .multiplicity import (Start, alternating_sum, alternation_set,
                            predicted_count_by_length_B, predicted_pq_B,
                            q_multiplicity, q_multiplicity_terms, start_terms,
                            weight_diagram)
-from .rootsystem import (TYPES, build, dominant_integral_weights_in_box,
-                         fundamental_weight, highest_root, in_root_span,
-                         is_dominant, sum_of_simple_roots,
+from .rootsystem import (TYPES, build, fundamental_weight, highest_root,
+                         in_root_span, is_dominant, sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
                          to_fundamental_coords)
 from .weyl import DEFAULT_CAP, group_order, orbit
@@ -372,10 +371,17 @@ def suite_char_b(max_rank: int, cap: int, seed: int) -> list:
     return checks
 
 
+def type_b_weights_below_one(r: int) -> list[lattice.Vector]:
+    """B_r's dominant weights with first coordinate at most 1, sorted: 0, omega_r,
+    then (1^k, 0^(r-k)), which is omega_k for k < r and 2 omega_r for k = r."""
+    return [lattice.zeros(r), (Fraction(1, 2),) * r] + [
+        lattice.vector((1,) * k + (0,) * (r - k)) for k in range(1, r + 1)]
+
+
 def suite_nonzero_mu(max_rank: int, cap: int, seed: int) -> list:
     checks = []
     for r, rs, zero, w1 in _type_b_sweep(max_rank):
-        for mu in dominant_integral_weights_in_box(rs, 1):
+        for mu in type_b_weights_below_one(r):
             aset = alternation_set(w1, mu, rs, cap)
             label = f"B{r} mu={_text_value(to_fundamental_coords(mu, rs))}"
             if mu == zero:

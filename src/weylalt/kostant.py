@@ -461,10 +461,10 @@ def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
             top = coords
             layout = table_layout(top, roots)
         if layout.size > TABLE_BUDGET_BYTES:
+            size = f"{'an estimated' if layout.bits else 'at least'} {layout.size:,} bytes"
             raise TableTooLarge(
-                f"P_q table over the box {list(top)} has "
-                f"{prod(t + 1 for t in top):,} cells, an estimated {layout.size:,} "
-                f"bytes, over the budget of {TABLE_BUDGET_BYTES:,} bytes")
+                f"P_q table over the box {list(top)} has {prod(t + 1 for t in top):,} "
+                f"cells, {size}, over the budget of {TABLE_BUDGET_BYTES:,} bytes")
         table = _DEFAULT_CACHES[rs] = BoxTable(layout)
     return table.lookup(coords)
 

@@ -7,17 +7,17 @@ themselves positive roots, so the coordinate test is exact); the set of
 surviving sigma is the Weyl alternation set, and the sums run over it alone.
 
 The survivors of every type are found by one depth-first walk of the left
-weak order on integer vectors. A node sigma holds sigma(rho) and
-sigma(lambda+rho) in fundamental-weight coordinates and xi_sigma in
-simple-root coordinates; the step to s_i sigma subtracts
-<sigma(lambda+rho), alpha_i^vee> from coordinate i of xi. The walk steps only
-along left ascents (sigma(rho)_i > 0) and only to children whose least left
-descent is i, so each element is reached once, carrying its lex-least reduced
-word. When lambda+rho is dominant, <sigma(lambda+rho), alpha_i^vee> =
-<lambda+rho, sigma^-1 alpha_i^vee> >= 0 at every left ascent, so every step
-lowers xi and the walk stops at the first negative coordinate: it visits only
-elements with xi >= 0. Regularity of lambda+rho is not needed. When
-lambda+rho is not dominant the same walk runs over all of W without pruning.
+weak order on integer vectors, from nu, the dominant weight with
+lambda+rho = w(nu) (Humphreys, Lie Algebras, 13.2): l(w) steps s_i at a
+negative pairing c take c off xi_i and c times column i of the Cartan matrix
+off the pairings. A node tau holds tau(rho) and tau(nu) in fundamental-weight
+coordinates and xi_tau in simple-root coordinates. The walk steps only along
+left ascents (tau(rho)_i > 0), subtracting <tau(nu), alpha_i^vee> >= 0 from
+xi_i, and only to children whose least left descent is i, so each element is
+reached once with its lex-least reduced word; it stops at the first negative
+coordinate, visiting only xi >= 0. The survivors of lambda are sigma =
+tau w^-1 at the same xi, each word read back from sigma(rho) = tau(w^-1 rho).
+Where nu_j = 0, tau and tau s_j cancel, so the alternating sums are 0.
 
 The walk starts from integers: xi_e and the pairings of lambda+rho over one
 common scale, built by integer_start alone from integer fundamental-weight
@@ -101,34 +101,52 @@ def _start(lam: Vector, mu: Vector, rs: RootSystem) -> Start | None:
     return integer_start(integer_weight(lam, rs), integer_weight(mu, rs), rs)
 
 
+def _act(indices, v: tuple[int, ...], columns) -> tuple[int, ...]:
+    """s_ik ... s_i1 (v) in fundamental coordinates, for 0-based i1..ik."""
+    for i in indices:
+        v = tuple(x - v[i] * a for x, a in zip(v, columns[i]))
+    return v
+
+
+def _peel(v: tuple[int, ...], columns) -> tuple[tuple[int, ...], list]:
+    """v reflected at its least negative coordinate until dominant, and the
+    steps (0-based i, v_i); from sigma(rho) they spell sigma's word."""
+    steps = []
+    while min(v) < 0:
+        i = min(j for j, c in enumerate(v) if c < 0)
+        steps.append((i, v[i]))
+        v = _act((i,), v, columns)
+    return v, steps
+
+
 def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
     """(element, xi simple-root coordinates) for every survivor of a start,
-    none for a start of None. The walk runs on the start's scaled integers;
-    each xi is a tuple of nonnegative ints, which the P_q table reads as is."""
+    none for a start of None; each xi is a tuple of nonnegative ints, which
+    the P_q table reads as is."""
     check_cap(rs, cap)
     if start is None:
         return []
-    top, pairings, scale = start
     rank = rs.rank
-    # column i of the Cartan matrix: alpha_i in fundamental coordinates
-    columns = tuple(tuple(row[i] for row in rs.cartan_matrix) for i in range(rank))
-    prune = all(c >= 0 for c in pairings)
-    if prune and min(top) < 0:
+    columns = tuple(zip(*rs.cartan_matrix))  # alpha_i in fundamental coordinates
+    top, image, scale = start
+    nu, steps = _peel(image, columns)  # lambda+rho = w(nu); step (i, c) takes c off xi_i
+    xi = tuple(t - sum(c for j, c in steps if j == i) for i, t in enumerate(top))
+    if min(xi) < 0:
         return []  # xi only decreases along the walk
 
     survivors = []
-    stack = [((), (1,) * rank, pairings, top)]
+    stack = [((), (1,) * rank, nu, xi)]
     while stack:
         word, rho_image, image, xi = stack.pop()
-        if all(c >= 0 and c % scale == 0 for c in xi):
-            survivors.append((WeylElement(word, rs), tuple(c // scale for c in xi)))
+        if all(c % scale == 0 for c in xi):
+            survivors.append((word, tuple(c // scale for c in xi)))
         for i in range(rank):
             a = rho_image[i]
             if a < 0:
                 continue  # s_i is a left descent of this node
             c = image[i]
-            if prune and xi[i] < c:
-                continue
+            if xi[i] < c:
+                continue  # the child's xi_i is negative
             column = columns[i]
             child = tuple(v - a * col for v, col in zip(rho_image, column))
             if any(child[j] < 0 for j in range(i)):
@@ -136,7 +154,12 @@ def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
             stack.append(((i + 1,) + word, child,
                           tuple(v - c * col for v, col in zip(image, column)),
                           xi[:i] + (xi[i] - c,) + xi[i + 1:]))
-    return survivors
+    if steps:  # sigma = tau w^-1 spells its word from sigma(rho) = tau(w^-1 rho)
+        back = _act([i for i, _ in steps], (1,) * rank, columns)
+        for k, (word, xi) in enumerate(survivors):
+            image = _act([i - 1 for i in reversed(word)], back, columns)
+            survivors[k] = (tuple(i + 1 for i, _ in _peel(image, columns)[1]), xi)
+    return [(WeylElement(word, rs), xi) for word, xi in survivors]
 
 
 def alternation_set(lam: Vector, mu: Vector, rs: RootSystem,
@@ -167,7 +190,11 @@ def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
     mu the sum is Lusztig's q-analog of weight multiplicity, the
     Kostka-Foulkes polynomial K_lambda,mu(q) (Kato 1982), whose coefficients
     are nonnegative."""
-    terms = _survivor_terms(_start(lam, mu, rs), rs, cap)
+    start = _start(lam, mu, rs)
+    check_cap(rs, cap)
+    if start is None or 0 in _peel(start[1], tuple(zip(*rs.cartan_matrix)))[0]:
+        return QPolynomial.zero()  # tau and tau s_j cancel where nu_j = 0
+    terms = _survivor_terms(start, rs, cap)
     return alternating_sum((element, _table_lookup(coords, rs))
                            for element, coords in terms)
 
@@ -182,11 +209,9 @@ def start_terms(start: Start | None, rs: RootSystem, cap: int = DEFAULT_CAP
                 ) -> list[tuple[WeylElement, QPolynomial]]:
     """Per-element P_q values over the alternation set of a walk start,
     sign not applied, by length and then word."""
-    terms = _survivor_terms(start, rs, cap)
-    return sorted(
-        ((element, _table_lookup(coords, rs)) for element, coords in terms),
-        key=lambda pair: (pair[0].length, pair[0].word),
-    )
+    return sorted(((element, _table_lookup(coords, rs))
+                   for element, coords in _survivor_terms(start, rs, cap)),
+                  key=lambda pair: (pair[0].length, pair[0].word))
 
 
 def q_multiplicity_terms(lam: Vector, mu: Vector, rs: RootSystem,

@@ -31,7 +31,6 @@ Fraction arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -278,33 +277,3 @@ def sum_of_simple_roots(rs: RootSystem) -> Vector:
 
 def sum_of_simple_roots_in_fundamental_basis(rs: RootSystem) -> Vector:
     return to_fundamental_coords(sum_of_simple_roots(rs), rs)
-
-
-def dominant_integral_weights_in_box(rs: RootSystem, bound) -> list[Vector]:
-    """Dominant integral weights k_1 e_1 + ... + k_r e_r with k_1 <= bound.
-
-    Enumerates nonincreasing entries from the half-integers in [0, bound] and
-    keeps the vectors that are dominant integral weights of rs. In types A-D
-    a vector mixing integer and half-odd entries pairs to a half-integer with
-    some e_i - e_(i+1), so it is dropped. For type B what is left is exactly
-    the dominant cone below the bound; for every type bound = 0 yields only
-    the zero weight. The dominant weights of A, G2 and E6-E8 do not have this
-    shape (A2's omega_1 is (2/3, -1/3, -1/3)), so there a positive bound,
-    which would find the zero weight alone, raises ValueError.
-    """
-    bound = Fraction(bound)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if bound > 0 and rs.type_label not in ("B", "C", "D", "F4"):
-        raise ValueError(f"{rs}: the scan finds no weight but zero, so bound must be 0")
-    values = [Fraction(n, 2) for n in range(int(2 * bound), -1, -1)]
-    padding = (Fraction(0),) * (rs.ambient_dim - rs.rank)
-    out = []
-    # values descend, so every combination is already nonincreasing
-    for k in itertools.combinations_with_replacement(values, rs.rank):
-        try:
-            if is_dominant_integral(k + padding, rs):
-                out.append(k + padding)
-        except NotInRootSpan:
-            continue
-    return sorted(out)

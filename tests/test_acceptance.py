@@ -20,9 +20,8 @@ from weylalt.kostant import QPolynomial, partition_q, partition_q_bruteforce
 from weylalt.multiplicity import (alternation_set, multiplicity,
                                   q_multiplicity, q_multiplicity_terms,
                                   weight_diagram)
-from weylalt.rootsystem import (build, dominant_integral_weights_in_box,
-                                fundamental_weight, highest_root, is_dominant,
-                                sum_of_simple_roots,
+from weylalt.rootsystem import (build, fundamental_weight, highest_root,
+                                is_dominant, sum_of_simple_roots,
                                 sum_of_simple_roots_in_fundamental_basis,
                                 to_fundamental_coords)
 from weylalt.weyl import orbit
@@ -114,7 +113,11 @@ def test_criterion_06_nonzero_mu_scan():
         rs = build("B", r)
         zero = lattice.zeros(rs.ambient_dim)
         w1 = fundamental_weight(rs, 1)
-        for mu in dominant_integral_weights_in_box(rs, 1):
+        # the dominant weights with first coordinate at most 1: 0, the
+        # half-spin weight (1/2, ..., 1/2) and (1^k, 0^(r-k)) for k = 1..r
+        unit_box = [zero, (Fraction(1, 2),) * r] + [
+            lattice.vector((1,) * k + (0,) * (r - k)) for k in range(1, r + 1)]
+        for mu in unit_box:
             aset = alternation_set(w1, mu, rs)
             if mu == zero:
                 ok = ok and len(aset) == FIB[r + 1]

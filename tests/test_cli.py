@@ -279,7 +279,7 @@ def test_exit_table_budget(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "[1000, 1000, 1000]" in captured.err
-    assert "1,003,003,001 cells, an estimated" in captured.err
+    assert "1,003,003,001 cells, at least" in captured.err
     assert f"budget of {kostant.TABLE_BUDGET_BYTES:,} bytes" in captured.err
 
 

@@ -8,23 +8,26 @@ from math import lcm
 
 import pytest
 
-from weylalt import lattice
+from weylalt import kostant, lattice
 from weylalt.combinatorics import lucas
 from weylalt.errors import CapExceeded, NotInRootSpan
 from weylalt.kostant import QPolynomial, partition_q
-from weylalt.multiplicity import (_start, _survivor_terms, alternation_set,
-                                  integer_start, integer_weight, multiplicity,
+from weylalt.multiplicity import (_start, _survivor_terms, alternating_sum,
+                                  alternation_set, integer_start,
+                                  integer_weight, multiplicity,
                                   predicted_alternation_set_B,
                                   predicted_count_by_length_B, predicted_pq_B,
                                   q_multiplicity, q_multiplicity_terms,
                                   weight_diagram)
-from weylalt.rootsystem import (build, dominant_integral_weights_in_box,
-                                fundamental_weight, highest_root,
+from weylalt.rootsystem import (build, fundamental_weight, highest_root,
                                 sum_of_simple_roots, to_simple_root_coords)
 from weylalt.weyl import WeylElement, generators, group_order
 
-from tests.oracles import (ambient_start, enumerate_group, kostka_foulkes,
-                           partitions)
+from tests.oracles import (ambient_start, enumerate_group, inversion_length,
+                           kostka_foulkes, partitions)
+
+# the package re-exports the function multiplicity over the module's name
+multiplicity_module = importlib.import_module("weylalt.multiplicity")
 
 
 def zero_of(rs):
@@ -76,7 +79,10 @@ def test_mu_equal_lambda_keeps_only_identity():
 def test_mu_other_dominant_weights_empty():
     rs = build("B", 3)
     w1 = fundamental_weight(rs, 1)
-    for mu in dominant_integral_weights_in_box(rs, 1):
+    # the dominant weights with first coordinate at most 1
+    half = Fraction(1, 2)
+    for mu in map(lattice.vector, [(0, 0, 0), (half, half, half), (1, 0, 0),
+                                   (1, 1, 0), (1, 1, 1)]):
         aset = alternation_set(w1, mu, rs)
         if mu == zero_of(rs):
             assert len(aset) == 3
@@ -230,9 +236,6 @@ def test_integer_start_is_the_ambient_start(label, rank):
         assert d == lcm(*(Fraction(c, lam_d).denominator for c in lam))
 
 
-UNPRUNED_MAX_ORDER = 1152  # a walk that cannot prune visits all of W
-
-
 def off_span_unit(rs):
     """The first e_k outside the root span, None when the roots span."""
     for k in range(rs.ambient_dim):
@@ -247,14 +250,16 @@ def off_span_unit(rs):
 @pytest.mark.parametrize("label, rank", NINE_TYPES)
 def test_library_start_matches_the_fraction_solve(label, rank):
     # seeded lambda over denominators 1 to 3, non-dominant, with lambda+rho
-    # singular or, in the small groups, not dominant; mu off lambda by simple
-    # roots, or anywhere in the small groups, or moved off the root span where
-    # A, G2, E6 and E7 leave room. The library's survivors and xi are those of
-    # the Fraction solve's start, and off the span there are none. In the
-    # large groups one coordinate of lambda+rho at most is below 1: a walk
-    # from a lambda+rho near 0 prunes little and visits much of W.
+    # singular or not dominant; mu off lambda by simple roots, or anywhere in
+    # the small groups, or moved off the root span where A, G2, E6 and E7
+    # leave room. The library's survivors and xi are those of the Fraction
+    # solve's start, and off the span there are none. In the large groups
+    # lambda+rho = w(nu) for a short random word w and a nu with one
+    # coordinate at most 0: a long w, a nu near 0 or a far mu would leave
+    # much of W surviving.
     rs = build(label, rank)
     order = group_order(rs)
+    small = order <= 1152
     rng = random.Random(f"domain {label}{rank}")
     off = off_span_unit(rs)
     assert (off is None) == (label in ("B", "C", "D", "F4", "E8"))
@@ -262,11 +267,13 @@ def test_library_start_matches_the_fraction_solve(label, rank):
     seen = Counter()
     for draw in range(18):
         d = draw % 3 + 1
-        small = order <= UNPRUNED_MAX_ORDER
         lam_coords = [rng.randint(-3 * d if small else 0, 2 * d) for _ in range(rank)]
         if not small:
             lam_coords[rng.randrange(rank)] = rng.randint(-d, 0)
         lam = weight_of(lam_coords, d, rs)
+        if not small:
+            word = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 6)))
+            lam = lattice.sub(WeylElement(word, rs).act(lattice.add(lam, rs.rho)), rs.rho)
         if small and rng.random() < 0.3:
             mu = weight_of([rng.randint(-6, 6) for _ in range(rank)],
                            rng.choice([1, 2, 3]), rs)
@@ -287,15 +294,15 @@ def test_library_start_matches_the_fraction_solve(label, rank):
         if moved:
             assert not walked
             assert q_multiplicity(lam, mu, rs, order) == QPolynomial.zero()
-        shifted = [c + d for c in lam_coords]
+        shifted = [rs.coroot_pairing(lattice.add(lam, rs.rho), i)
+                   for i in range(1, rank + 1)]
         seen.update(survivors=bool(walked), off_span=moved,
                     non_dominant=min(lam_coords) < 0, singular=0 in shifted,
-                    unpruned=min(shifted) < 0,
+                    non_dominant_shift=min(shifted) < 0,
                     **{f"d={integer_weight(lam, rs)[1]}": 1})
     assert seen["survivors"] and seen["non_dominant"] and seen["singular"]
-    assert seen["d=2"] and seen["d=3"]
+    assert seen["d=2"] and seen["d=3"] and seen["non_dominant_shift"]
     assert seen["off_span"] or off is None
-    assert seen["unpruned"] or order > UNPRUNED_MAX_ORDER
     # a vector of the wrong length is refused, alone or in a pair
     lam = highest_root(rs)
     for bad in ((lam + (Fraction(0),), zero_of(rs) + (Fraction(0),)),
@@ -553,11 +560,10 @@ def test_sum_of_simple_roots_alternation_counts(label, rank, expected):
 def test_singular_lambda_plus_rho_gives_zero(label, rank):
     # lam + rho = w(nu) with nu dominant and <nu, alpha_i^vee> = 0 for some i is
     # fixed by the reflection w s_i w^-1, which pairs off the terms of the
-    # alternating sum: q_multiplicity is the zero polynomial for every mu.
-    # E7 and E8 keep w = e, so the walk stays pruned.
+    # alternating sum: q_multiplicity is the zero polynomial for every mu, and
+    # so is the signed sum of the terms the walk lists
     rs = build(label, rank)
     rng = random.Random(f"{label}{rank}")
-    pruned = label in ("E7", "E8")
     cap = group_order(rs)
     nonempty = 0
     for _ in range(4):
@@ -566,13 +572,77 @@ def test_singular_lambda_plus_rho_gives_zero(label, rank):
         nu = lattice.zeros(rs.ambient_dim)
         for c, omega in zip(coeffs, rs.fundamental_weights):
             nu = lattice.add(nu, lattice.scale(c, omega))
-        if not pruned:
-            word = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
-            nu = WeylElement(word, rs).act(nu)
-        lam = lattice.sub(nu, rs.rho)
+        word = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
+        lam = lattice.sub(WeylElement(word, rs).act(nu), rs.rho)
         mu = lam
         for alpha in rs.simple_roots:
             mu = lattice.sub(mu, lattice.scale(rng.randint(0, 2), alpha))
         nonempty += bool(alternation_set(lam, mu, rs, cap))
         assert q_multiplicity(lam, mu, rs, cap) == QPolynomial.zero()
+        terms = q_multiplicity_terms(lam, mu, rs, cap)
+        assert alternating_sum(terms) == QPolynomial.zero()
     assert nonempty  # some alternating sum had terms to cancel
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+def test_singular_lambda_plus_rho_needs_no_walk(label, monkeypatch):
+    # at lam = mu = -rho every sigma survives, and at lam = sum-simple, mu = 0
+    # the walk lists 12, 18 or 30 terms, yet nu has a zero pairing in both,
+    # so the sums are 0 with no walk and no P_q lookup; the cap still binds
+    rs = build(label, int(label[1]))
+    order = group_order(rs)
+    minus_rho = lattice.scale(-1, rs.rho)
+    cases = [(minus_rho, minus_rho), (sum_of_simple_roots(rs), zero_of(rs))]
+    assert len(q_multiplicity_terms(*cases[1], rs, order)) == {"E6": 12, "E7": 18,
+                                                               "E8": 30}[label]
+
+    def refuse(*args):
+        raise AssertionError("a singular lambda+rho reached the walk or the table")
+
+    for module in (multiplicity_module, kostant):
+        monkeypatch.setattr(module, "_table_lookup", refuse)
+    monkeypatch.setattr(multiplicity_module, "_survivor_terms", refuse)
+    for lam, mu in cases:
+        assert q_multiplicity(lam, mu, rs, order) == QPolynomial.zero()
+        assert multiplicity(lam, mu, rs, order) == 0
+        with pytest.raises(CapExceeded):
+            q_multiplicity(lam, mu, rs, order - 1)
+
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
+def test_reflected_lambda_plus_rho_flips_the_sign(label, rank):
+    # lam + rho = w(nu) for a random word w, applied by the Fraction action:
+    # the q-multiplicity is (-1)^len(word) times that at nu - rho, every
+    # survivor's xi is sigma(lam + rho) - (mu + rho) in simple-root
+    # coordinates, and every word is reduced and lex-least, its first letter
+    # the least left descent of what it spells
+    rs = build(label, rank)
+    rng = random.Random(f"reflect {label}{rank}")
+    order = group_order(rs)
+    seen = Counter()
+    for _ in range(6):
+        nu = rs.rho
+        for omega in rs.fundamental_weights:
+            nu = lattice.add(nu, lattice.scale(rng.randint(0, 2), omega))
+        mu = lattice.sub(nu, rs.rho)
+        for alpha in rs.simple_roots:
+            mu = lattice.sub(mu, lattice.scale(rng.randint(0, 2), alpha))
+        word = tuple(rng.randint(1, rank) for _ in range(rng.randint(1, 8)))
+        shifted = WeylElement(word, rs).act(nu)
+        lam = lattice.sub(shifted, rs.rho)
+        mq = q_multiplicity(lam, mu, rs, order)
+        at_nu = q_multiplicity(lattice.sub(nu, rs.rho), mu, rs, order)
+        assert mq == (-at_nu if len(word) % 2 else at_nu)
+        terms = _survivor_terms(_start(lam, mu, rs), rs, order)
+        for sigma, xi in terms:
+            image = lattice.sub(sigma.act(shifted), lattice.add(mu, rs.rho))
+            assert to_simple_root_coords(image, rs) == xi
+            assert sigma.length == inversion_length(sigma, rs)
+            v = rs.rho
+            for letter in reversed(sigma.word):
+                v = WeylElement((letter,), rs).act(v)
+                descents = [i for i in range(1, rank + 1) if rs.coroot_pairing(v, i) < 0]
+                assert letter == min(descents)
+        seen.update(odd=len(word) % 2, nonzero=bool(at_nu), terms=len(terms),
+                    moved=shifted != nu)
+    assert seen["odd"] and seen["nonzero"] and seen["terms"] and seen["moved"]

@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from weylalt import lattice, rootsystem
+from weylalt.cli import type_b_weights_below_one
 from weylalt.errors import NotInRootSpan, UnsupportedRank
-from weylalt.rootsystem import (build, dominant_integral_weights_in_box,
-                                fundamental_weight, highest_root, is_dominant,
-                                is_dominant_integral, sum_of_simple_roots,
+from weylalt.rootsystem import (build, fundamental_weight, highest_root,
+                                is_dominant, is_dominant_integral,
+                                sum_of_simple_roots,
                                 sum_of_simple_roots_in_fundamental_basis,
                                 to_fundamental_coords, to_simple_root_coords)
 
@@ -327,9 +328,11 @@ def test_sum_of_simple_roots_fundamental_coords(label, rank, expected):
     assert is_dominant(sum_of_simple_roots(rs), rs) == (label in ("A", "B"))
 
 
+# the dominant weights of B_r with first coordinate at most 1, the mu that
+# verify nonzero-mu sweeps, as a closed list
+
 def test_box_enumeration_b2():
-    rs = build("B", 2)
-    box = dominant_integral_weights_in_box(rs, 1)
+    box = type_b_weights_below_one(2)
     assert box == [lattice.vector([0, 0]),
                    lattice.vector(["1/2", "1/2"]),
                    lattice.vector([1, 0]),
@@ -338,7 +341,7 @@ def test_box_enumeration_b2():
 
 def test_box_enumeration_b3():
     rs = build("B", 3)
-    box = dominant_integral_weights_in_box(rs, 1)
+    box = type_b_weights_below_one(3)
     assert len(box) == 5
     assert lattice.vector(["1/2", "1/2", "1/2"]) in box
     assert all(is_dominant_integral(w, rs) for w in box)
@@ -346,32 +349,20 @@ def test_box_enumeration_b3():
 
 @pytest.mark.parametrize("rank", range(2, 7))
 def test_box_b_bound_one_is_fundamental_weights(rank):
-    # 0, omega_1..omega_r and 2 omega_r = (1, ..., 1): the verify nonzero-mu set
+    # 0, omega_1..omega_r and 2 omega_r = (1, ..., 1), sorted; a scan of the
+    # nonincreasing vectors over 0, 1/2 and 1 finds the same dominant
+    # integral weights
     rs = build("B", rank)
     expected = {lattice.zeros(rs.ambient_dim),
                 lattice.scale(2, fundamental_weight(rs, rank))}
     expected |= {fundamental_weight(rs, i) for i in range(1, rank + 1)}
-    box = dominant_integral_weights_in_box(rs, 1)
+    box = type_b_weights_below_one(rank)
     assert len(box) == rank + 2
-    assert set(box) == expected
-
-
-@pytest.mark.parametrize("label, rank", [("A", 2), ("B", 3), ("C", 3), ("D", 4)])
-def test_box_bound_zero_is_origin(label, rank):
-    rs = build(label, rank)
-    assert dominant_integral_weights_in_box(rs, 0) == [lattice.zeros(rs.ambient_dim)]
-
-
-@pytest.mark.parametrize("label, rank", [("A", 1), ("A", 3), ("G2", 2), ("E6", 6),
-                                         ("E7", 7), ("E8", 8)])
-def test_box_refuses_a_positive_bound_where_weights_are_not_e_vectors(label, rank):
-    # their dominant weights are not k_1 e_1 + ... + k_r e_r, so the scan
-    # would return the zero weight alone
-    rs = build(label, rank)
-    for bound in (1, Fraction(1, 2), 2):
-        with pytest.raises(ValueError, match="bound must be 0"):
-            dominant_integral_weights_in_box(rs, bound)
-    assert dominant_integral_weights_in_box(rs, 0) == [lattice.zeros(rs.ambient_dim)]
+    assert set(box) == expected and box == sorted(box)
+    values = [Fraction(n, 2) for n in (2, 1, 0)]
+    scan = [w for w in itertools.combinations_with_replacement(values, rank)
+            if is_dominant_integral(w, rs)]
+    assert sorted(scan) == box
 
 
 def test_build_is_cached():
