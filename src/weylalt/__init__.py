@@ -22,7 +22,7 @@ from .rootsystem import (RootSystem, build, fundamental_weight, highest_root,
                          is_dominant, is_dominant_integral, sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
                          to_fundamental_coords, to_simple_root_coords)
-from .weyl import DEFAULT_CAP, WeylElement, group_order, orbit
+from .weyl import DEFAULT_CAP, WeylElement, group_order
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "is_dominant",
     "is_dominant_integral",
     "multiplicity",
-    "orbit",
     "partition",
     "partition_q",
     "partition_q_bruteforce",

@@ -1,4 +1,10 @@
-"""Exact rational vectors and small dense linear algebra over Fraction."""
+"""Exact rational vectors over Fraction, and the integer adjugate.
+
+A vector is a tuple of Fractions in ambient coordinates. The only matrix
+routine is adjugate, one fraction-free elimination of an integer matrix:
+rootsystem keeps C^-1 as adj(C) / det(C) of the Cartan matrix C, and no
+Fraction matrix is ever formed.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def vector(values: Iterable) -> Vector:
@@ -41,49 +46,30 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det(m) and adj(m) of a square integer matrix, by one fraction-free
+    Gauss-Jordan elimination of [m | I] (Bareiss, Math. Comp. 22, 1968).
 
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix by Gaussian elimination, exactly."""
-    work = [vector(row) for row in m]
-    det = Fraction(1)
-    for col in range(len(work)):
-        pivot = next((r for r in range(col, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        for r in range(col + 1, len(work)):
-            f = work[r][col] / work[col][col]
-            work[r] = tuple(x - f * y for x, y in zip(work[r], work[col]))
-    return det
-
-
-def invert(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Invert a square matrix by Gauss-Jordan elimination, exactly.
-
-    Raises ValueError on a singular input.
+    Each step replaces row i by (p x_i - f x_k) / p', p the pivot, f row i's
+    entry above or below it and p' the pivot before; the division is exact,
+    so every entry stays an integer. The last pivot is det(m) up to the sign
+    of the row swaps, and the right half is then det(m) m^-1 = adj(m) up to
+    the same sign. Raises ValueError on a singular input.
     """
     n = len(m)
-    work = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(m)]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, previous = 1, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
             raise ValueError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_p = 1 / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            sign = -sign
+        top = work[col]
         for r in range(n):
-            if r != col and work[r][col] != 0:
+            if r != col:
                 f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+                work[r] = [(top[col] * x - f * y) // previous for x, y in zip(work[r], top)]
+        previous = top[col]
+    return sign * previous, tuple(tuple(sign * x for x in row[n:]) for row in work)

@@ -22,9 +22,11 @@ Where nu_j = 0, tau and tau s_j cancel, so the alternating sums are 0.
 The walk starts from integers: xi_e and the pairings of lambda+rho over one
 common scale, built by integer_start alone from integer fundamental-weight
 coordinates with the integer adjugate of C. An ambient weight becomes such
-coordinates once, by its coroot pairings (integer_weight): the library
-entries convert lambda and mu, the command line its summed eps: terms. Off
-the root span, tested only in A, G2, E6 and E7 (in_root_span), none survive.
+coordinates once, by its coroot pairings (rootsystem.coroot_pairings, then
+rootsystem.integer_weight): the library entries convert lambda and mu, the
+command line its summed eps: terms. Off the root span, tested only in A, G2,
+E6 and E7 (in_root_span), none survive; the library entries test lambda - mu
+by the difference of the two weights' pairings.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
 from .kostant import QPolynomial, _table_lookup
 from .lattice import Vector
-from .rootsystem import RootSystem, in_root_span, is_dominant_integral
+from .rootsystem import (IntegerWeight, RootSystem, coroot_pairings,
+                         in_root_span, integer_weight, is_dominant_integral)
 from .weyl import DEFAULT_CAP, WeylElement, check_cap
 
 
@@ -67,18 +70,6 @@ class WeightDiagramEntry:
 # to integers by one common positive scale, and that scale.
 Start = tuple[tuple[int, ...], tuple[int, ...], int]
 
-# A weight as integer fundamental-weight coordinates over one denominator.
-IntegerWeight = tuple[Sequence[int], int]
-
-
-def integer_weight(w: Vector, rs: RootSystem) -> IntegerWeight:
-    """An ambient weight as integer fundamental-weight coordinates over one
-    denominator: its coroot pairings over their least common denominator."""
-    pairings = [rs.coroot_pairing(w, i) for i in range(1, rs.rank + 1)]
-    d = lcm(*(p.denominator for p in pairings))
-    return tuple(p.numerator * (d // p.denominator) for p in pairings), d
-
-
 def integer_start(lam: IntegerWeight, mu: IntegerWeight, rs: RootSystem) -> Start:
     """The walk's start for lambda and mu, integer fundamental-weight
     coordinates each over its own denominator. Over their common d,
@@ -95,10 +86,13 @@ def integer_start(lam: IntegerWeight, mu: IntegerWeight, rs: RootSystem) -> Star
 
 
 def _start(lam: Vector, mu: Vector, rs: RootSystem) -> Start | None:
-    """integer_start for ambient lambda and mu; None off the root span."""
-    if not in_root_span(lattice.sub(lam, mu), rs):
+    """integer_start for ambient lambda and mu, each paired with the coroots
+    once; None when lambda - mu, paired by the difference, is off the root
+    span."""
+    lam_pairings, mu_pairings = coroot_pairings(lam, rs), coroot_pairings(mu, rs)
+    if not in_root_span(lattice.sub(lam, mu), rs, lattice.sub(lam_pairings, mu_pairings)):
         return None
-    return integer_start(integer_weight(lam, rs), integer_weight(mu, rs), rs)
+    return integer_start(integer_weight(lam_pairings), integer_weight(mu_pairings), rs)
 
 
 def _act(indices, v: tuple[int, ...], columns) -> tuple[int, ...]:

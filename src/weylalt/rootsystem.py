@@ -21,12 +21,14 @@ simple roots. Classical types list e_i - e_j, then e_i + e_j, then e_i or
 
 The Cartan matrix convention is C[i][j] = <alpha_j, alpha_i^vee>
 = 2(alpha_i, alpha_j)/(alpha_i, alpha_i), so the fundamental coordinates of a
-vector w (its coroot pairings <w, alpha_i^vee>) are C applied to its
-simple-root coordinates, and the simple-root coordinates are C^-1 applied to
-the coroot pairings. The fundamental weights are the columns of C^-1. build
-also keeps C^-1 = adj(C) / det(C) as the integer adjugate and determinant, so
-integer fundamental coordinates go to simple-root coordinates without
-Fraction arithmetic.
+vector w (its coroot pairings <w, alpha_i^vee>, from coroot_pairings alone)
+are C applied to its simple-root coordinates, and the simple-root coordinates
+are C^-1 applied to the coroot pairings. build keeps C^-1 in one form, the
+integer adjugate and determinant from one fraction-free elimination of C
+(lattice.adjugate), so C^-1 = adj(C) / det(C) with det(C) = |P/Q| (Humphreys,
+Lie Algebras, 13.1). The fundamental weights are its columns, and
+integer_weight turns pairings into integer fundamental coordinates over one
+denominator, which adj(C) takes to simple-root coordinates in integers.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
+from typing import Sequence
 
 from . import lattice
 from .errors import NotInRootSpan, UnsupportedRank
-from .lattice import Matrix, Vector
+from .lattice import Vector
 
 # The supported types, one row each: the smallest rank of A-D, or the only
 # rank of G2-E8 (the two-character labels, which name it), then |Phi+| and
@@ -69,7 +73,6 @@ class RootSystem:
     rho: Vector
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_root_alpha_coords: tuple[tuple[int, ...], ...]
-    inverse_cartan: Matrix = field(repr=False)
     simple_coroots: tuple[Vector, ...] = field(repr=False)
     cartan_adjugate: tuple[tuple[int, ...], ...] = field(repr=False)
     cartan_determinant: int = field(repr=False)
@@ -190,12 +193,12 @@ def build(type_label: str, rank: int) -> RootSystem:
         pairs.sort(key=lambda pair: _classical_order(pair[1]))
 
     # omega_i = sum_j C^-1[j][i] alpha_j gives <omega_i, alpha_k^vee> = delta_ik,
-    # so rho = sum_i omega_i, in simple-root coordinates the row sums of C^-1,
-    # must be half the sum of the positive roots
-    inverse_cartan = lattice.invert(entries)
-    determinant = int(lattice.determinant(entries))
-    fundamental = tuple(_expand(col, simple) for col in lattice.transpose(inverse_cartan))
-    rho_coords = tuple(sum(row) for row in inverse_cartan)
+    # so rho = sum_i omega_i, in simple-root coordinates the row sums of
+    # C^-1 = adj(C) / det(C), must be half the sum of the positive roots
+    determinant, adjugate = lattice.adjugate(cartan)
+    fundamental = tuple(_expand([Fraction(row[i], determinant) for row in adjugate], simple)
+                        for i in range(rank))
+    rho_coords = tuple(Fraction(sum(row), determinant) for row in adjugate)
     if any(Fraction(sum(c[j] for c in coords), 2) != rho_coords[j] for j in range(rank)):
         raise RuntimeError(f"{name}: rho computed two ways disagrees")
 
@@ -209,43 +212,58 @@ def build(type_label: str, rank: int) -> RootSystem:
         rho=_expand(rho_coords, simple),
         cartan_matrix=cartan,
         positive_root_alpha_coords=tuple(c for c, _ in pairs),
-        inverse_cartan=inverse_cartan,
         simple_coroots=coroots,
-        cartan_adjugate=tuple(tuple(int(determinant * x) for x in row)
-                              for row in inverse_cartan),
+        cartan_adjugate=adjugate,
         cartan_determinant=determinant,
     )
 
 
-def _coords(w: Vector, rs: RootSystem) -> tuple[Vector, Vector]:
-    """Coroot pairings and simple-root coordinates of w, which must be in the
-    root span; the pairings are its fundamental coordinates."""
+# A weight as integer fundamental-weight coordinates over one denominator.
+IntegerWeight = tuple[Sequence[int], int]
+
+
+def coroot_pairings(w: Vector, rs: RootSystem) -> Vector:
+    """The coroot pairings <w, alpha_i^vee>, i = 1..r, of an ambient vector:
+    its fundamental coordinates when w is in the root span."""
     if len(w) != rs.ambient_dim:
         raise ValueError(f"expected {rs.ambient_dim} coordinates, got {len(w)}")
-    pairings = tuple(lattice.dot(w, v) for v in rs.simple_coroots)
-    coords = lattice.mat_vec(rs.inverse_cartan, pairings)
-    if _expand(coords, rs.simple_roots) != w:
-        raise NotInRootSpan(f"{w} is not in the span of the simple roots of {rs}")
-    return pairings, coords
+    return tuple(lattice.dot(w, v) for v in rs.simple_coroots)
 
 
-def to_simple_root_coords(w: Vector, rs: RootSystem) -> Vector:
-    """Coordinates of w in the simple-root basis; NotInRootSpan if w is outside."""
-    return _coords(w, rs)[1]
+def in_root_span(w: Vector, rs: RootSystem, pairings: Vector | None = None) -> bool:
+    """Whether w lies in the span of the simple roots: the whole ambient space
+    but in A, G2, E6 and E7, where w is in it iff its coroot pairings, as
+    fundamental coordinates, give w back. A caller that holds w's pairings
+    passes them."""
+    if rs.ambient_dim == rs.rank:
+        return True
+    if pairings is None:
+        pairings = coroot_pairings(w, rs)
+    return _expand(pairings, rs.fundamental_weights) == w
+
+
+def integer_weight(coords: Vector) -> IntegerWeight:
+    """Fundamental coordinates, such as coroot_pairings gives, as integers
+    over their least common denominator."""
+    d = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (d // c.denominator) for c in coords), d
 
 
 def to_fundamental_coords(w: Vector, rs: RootSystem) -> Vector:
     """Coordinates of w in the fundamental-weight basis; NotInRootSpan outside the span."""
-    return _coords(w, rs)[0]
+    pairings = coroot_pairings(w, rs)
+    if not in_root_span(w, rs, pairings):
+        raise NotInRootSpan(f"{w} is not in the span of the simple roots of {rs}")
+    return pairings
 
 
-def in_root_span(w: Vector, rs: RootSystem) -> bool:
-    """Whether w lies in the span of the simple roots: the whole ambient space
-    but in A, G2, E6 and E7, where w is in it iff its coroot pairings, as
-    fundamental coordinates, give w back."""
-    return rs.ambient_dim == rs.rank or _expand(
-        [rs.coroot_pairing(w, i) for i in range(1, rs.rank + 1)],
-        rs.fundamental_weights) == w
+def to_simple_root_coords(w: Vector, rs: RootSystem) -> Vector:
+    """Coordinates of w in the simple-root basis; NotInRootSpan if w is outside.
+    With its fundamental coordinates as integers c over d, they are
+    adj(C) c / (det(C) d)."""
+    coords, d = integer_weight(to_fundamental_coords(w, rs))
+    scale = rs.cartan_determinant * d
+    return tuple(Fraction(sum(map(mul, row, coords)), scale) for row in rs.cartan_adjugate)
 
 
 def is_dominant(w: Vector, rs: RootSystem) -> bool:

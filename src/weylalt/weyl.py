@@ -98,19 +98,3 @@ def generators(rs: RootSystem) -> tuple[WeylElement, ...]:
                     raise RuntimeError(f"{rs}: braid relation for (s_{i}, s_{j}) failed")
     return gens
 
-
-def orbit(v: Vector, rs: RootSystem) -> frozenset[Vector]:
-    """Weyl orbit of an ambient vector (closure under simple reflections)."""
-    gens = generators(rs)
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        new_frontier = []
-        for u in frontier:
-            for g in gens:
-                image = g.act(u)
-                if image not in seen:
-                    seen.add(image)
-                    new_frontier.append(image)
-        frontier = new_frontier
-    return frozenset(seen)

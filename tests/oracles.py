@@ -1,10 +1,11 @@
 """Slow, independent references that the tests check the library against.
 
 Breadth-first enumeration of the whole Weyl group checks the weak-order walk
-that finds alternation sets, and a Fraction solve in ambient coordinates
-checks the integer start the walk begins from; a memoized recursion over a
-permuted root list checks the P_q table; Kostka-Foulkes polynomials by
-charge check the q-analog of weight multiplicity in type A. None of them imports
+that finds alternation sets, and the Fraction orbit of omega_1 the weight
+diagrams of B_r; a Fraction solve in ambient coordinates checks the integer
+start the walk begins from; a memoized recursion over a permuted root list
+checks the P_q table; Kostka-Foulkes polynomials by charge check the q-analog
+of weight multiplicity in type A. None of them imports
 weylalt.multiplicity or the table behind kostant.partition_q, so none shares
 the code it checks.
 """
@@ -56,6 +57,24 @@ def inversion_length(w: WeylElement, rs: RootSystem) -> int:
     """Number of positive roots sent negative; equals len(w.word)."""
     positives = set(rs.positive_roots)
     return sum(1 for alpha in rs.positive_roots if w.act(alpha) not in positives)
+
+
+def orbit(v: Vector, rs: RootSystem) -> frozenset[Vector]:
+    """The Weyl orbit of an ambient vector, closed under the Fraction action
+    of the simple reflections."""
+    gens = generators(rs)
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        new_frontier = []
+        for u in frontier:
+            for g in gens:
+                image = g.act(u)
+                if image not in seen:
+                    seen.add(image)
+                    new_frontier.append(image)
+        frontier = new_frontier
+    return frozenset(seen)
 
 
 def ambient_start(lam: Vector, mu: Vector, rs: RootSystem):

@@ -24,7 +24,8 @@ from weylalt.rootsystem import (build, fundamental_weight, highest_root,
                                 is_dominant, sum_of_simple_roots,
                                 sum_of_simple_roots_in_fundamental_basis,
                                 to_fundamental_coords)
-from weylalt.weyl import orbit
+
+from tests.oracles import orbit
 
 B_CAP = 10_400_000  # clears |W(B8)| = 10,321,920
 

@@ -1,4 +1,4 @@
-"""Exact vector and matrix arithmetic over Fraction."""
+"""Exact vector arithmetic over Fraction, and the integer adjugate."""
 
 import random
 from fractions import Fraction
@@ -43,73 +43,55 @@ def test_scale_neg_dot():
     assert lattice.sub(v, v) == lattice.zeros(3)
 
 
-def mat_mul(a, b):
-    return tuple(tuple(lattice.dot(row, col) for col in zip(*b)) for row in a)
-
-
-def matrix(rows):
-    return tuple(lattice.vector(row) for row in rows)
-
-
-def identity(n):
-    return matrix([[int(i == j) for j in range(n)] for i in range(n)])
-
-
-def test_matrix_identity_and_mat_vec():
-    eye = identity(3)
-    v = lattice.vector([1, Fraction(2, 3), -5])
-    assert lattice.mat_vec(eye, v) == v
-    m = matrix([[0, 1], [1, 0]])
-    assert lattice.mat_vec(m, lattice.vector([3, 7])) == (7, 3)
-
-
-def test_transpose():
-    a = matrix([[1, 2], [3, 4]])
-    assert lattice.transpose(a) == matrix([[1, 3], [2, 4]])
-
-
-def test_invert_exact():
-    m = matrix([[1, Fraction(1, 2)], [0, 2]])
-    inv = lattice.invert(m)
-    assert mat_mul(m, inv) == identity(2)
-    assert mat_mul(inv, m) == identity(2)
-
-
-def test_invert_singular():
-    with pytest.raises(ValueError):
-        lattice.invert(matrix([[1, 2], [2, 4]]))
-
-
-def test_invert_random_matrices():
-    rng = random.Random(7)
-    built = 0
-    while built < 20:
-        n = rng.randint(1, 4)
-        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                 for _ in range(n)] for _ in range(n)]
-        m = matrix(rows)
-        try:
-            inv = lattice.invert(m)
-        except ValueError:
-            continue
-        assert mat_mul(m, inv) == identity(n)
-        built += 1
-
-
 def laplace(m):
-    # the slow oracle of determinant: expansion along the first row
+    # the slow oracle of the elimination: expansion along the first row
     if not m:
         return 1
     return sum((-1) ** j * m[0][j] * laplace([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)))
 
 
+def cofactor(m, i, j):
+    return (-1) ** (i + j) * laplace([row[:j] + row[j + 1:]
+                                      for k, row in enumerate(m) if k != i])
+
+
+def random_matrices(seed, count, nonsingular):
+    """count random integer matrices of sizes 1 to 6, each singular or not."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if not nonsingular:  # a row that repeats a multiple of another
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            rows[i] = [rng.randint(-2, 2) * x for x in rows[j]] if i != j else [0] * n
+        if (laplace(rows) != 0) == nonsingular:
+            found.append(rows)
+    return found
+
+
 def test_determinant_matches_expansion():
-    assert lattice.determinant([[0, 1], [1, 0]]) == -1  # needs a row swap
-    assert lattice.determinant([[1, 2], [2, 4]]) == 0
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
-                for _ in range(n)]
-        assert lattice.determinant(rows) == laplace(rows)
+    assert lattice.adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))  # a row swap
+    assert lattice.adjugate([[2]]) == (2, ((1,),))
+    for rows in random_matrices(5, 60, nonsingular=True):
+        assert lattice.adjugate(rows)[0] == laplace(rows)
+
+
+def test_adjugate_matches_cofactors():
+    # adj(m)[j][i] is the (i, j) cofactor, so adj(m) m = det(m) I
+    for rows in random_matrices(7, 60, nonsingular=True):
+        det, adj = lattice.adjugate(rows)
+        n = len(rows)
+        assert all(type(x) is int for row in adj for x in row)
+        assert [[adj[j][i] for j in range(n)] for i in range(n)] == \
+            [[cofactor(rows, i, j) for j in range(n)] for i in range(n)]
+        assert [[sum(adj[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+
+def test_adjugate_refuses_singular():
+    for rows in [[[0]], [[1, 2], [2, 4]], [[0, 1], [0, 2]]] + \
+            random_matrices(9, 40, nonsingular=False):
+        with pytest.raises(ValueError, match="singular"):
+            lattice.adjugate(rows)

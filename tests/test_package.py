@@ -21,6 +21,7 @@ def test_every_exported_name_resolves(name):
     ("weyl", "inversion_length"),
     ("weyl", "identity_element"),
     ("weyl", "simple_reflection"),
+    ("weyl", "orbit"),
     ("kostant", "_recurse"),
     ("kostant", "partition_q_recursive"),
     ("kostant", "_validated_alpha_coords"),

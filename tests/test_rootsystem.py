@@ -274,24 +274,67 @@ def test_integer_inverse_cartan(label, rank):
                 for j in range(rank)] == [det * (i == j) for j in range(rank)]
 
 
-@pytest.mark.parametrize("label, rank", [("A", 2), ("B", 3), ("C", 3),
-                                         ("D", 4), ("G2", 2), ("F4", 4),
-                                         ("E6", 6)])
+# A basis of the orthogonal complement of the root span, where it is not 0.
+OFF_SPAN = {
+    "A": lambda r: [(1,) * (r + 1)],
+    "G2": lambda r: [(1, 1, 1)],
+    "E6": lambda r: [(0,) * 5 + (1, -1, 0), (0,) * 6 + (1, 1)],  # e6 - e7, e7 + e8
+    "E7": lambda r: [(0,) * 6 + (1, 1)],  # e7 + e8
+}
+
+
+def combination(coords, basis, dim):
+    v = lattice.zeros(dim)
+    for c, b in zip(coords, basis):
+        v = lattice.add(v, lattice.scale(c, b))
+    return v
+
+
+@pytest.mark.parametrize("label, rank", [("A", 2), ("A", 8), ("B", 3), ("B", 8),
+                                         ("C", 3), ("C", 8), ("D", 4), ("D", 8),
+                                         ("G2", 2), ("F4", 4), ("E6", 6),
+                                         ("E7", 7), ("E8", 8)])
 def test_coordinate_round_trips(label, rank):
     rs = build(label, rank)
+    dim = rs.ambient_dim
     rng = random.Random(11)
     for _ in range(25):
         coords = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2])) for _ in range(rank)]
-        v = lattice.zeros(rs.ambient_dim)
-        for c, alpha in zip(coords, rs.simple_roots):
-            v = lattice.add(v, lattice.scale(c, alpha))
+        v = combination(coords, rs.simple_roots, dim)
         assert to_simple_root_coords(v, rs) == tuple(coords)
     for _ in range(25):
         coords = [Fraction(rng.randint(-6, 6)) for _ in range(rank)]
-        v = lattice.zeros(rs.ambient_dim)
-        for c, w in zip(coords, rs.fundamental_weights):
-            v = lattice.add(v, lattice.scale(c, w))
+        v = combination(coords, rs.fundamental_weights, dim)
         assert to_fundamental_coords(v, rs) == tuple(coords)
+
+    # vectors of the span moved off it by the complement, where there is
+    # room: the complement pairs to 0 with every coroot, so the pairings stay
+    # and only the span test tells the two apart
+    off_span = [lattice.vector(u) for u in OFF_SPAN.get(label, lambda r: [])(rank)]
+    assert len(off_span) == dim - rank
+    assert all(lattice.dot(u, alpha) == 0 for u in off_span for alpha in rs.simple_roots)
+    moved = 0
+    for _ in range(25):
+        coords = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(rank)]
+        v = combination(coords, rs.simple_roots, dim)
+        shift = [Fraction(rng.choice([0, 0, 1, -2]), rng.choice([1, 2])) for _ in off_span]
+        w = lattice.add(v, combination(shift, off_span, dim))
+        pairings = rootsystem.coroot_pairings(w, rs)
+        assert pairings == rootsystem.coroot_pairings(v, rs)
+        spans = rootsystem.in_root_span(w, rs)
+        assert spans == (w == v)
+        if spans:
+            ints, d = rootsystem.integer_weight(pairings)
+            assert all(type(c) is int for c in ints + (d,))
+            assert tuple(Fraction(c, d) for c in ints) == to_fundamental_coords(w, rs)
+            assert to_simple_root_coords(w, rs) == tuple(coords)
+        else:
+            moved += 1
+            with pytest.raises(NotInRootSpan):
+                to_fundamental_coords(w, rs)
+            with pytest.raises(NotInRootSpan):
+                to_simple_root_coords(w, rs)
+    assert (moved > 0) == bool(off_span)
 
 
 def test_dominance_predicates():

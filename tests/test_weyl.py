@@ -1,6 +1,6 @@
 """Weyl groups as reduced words acting by simple reflections: the Coxeter
-relation check, words, lengths and orbits, with the breadth-first
-enumeration of tests/oracles.py as the reference."""
+relation check, words and lengths, with the breadth-first enumeration of
+tests/oracles.py as the reference."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,8 @@ import pytest
 from weylalt import lattice, weyl
 from weylalt.errors import CapExceeded
 from weylalt.multiplicity import alternation_set
-from weylalt.rootsystem import build, fundamental_weight, highest_root
-from weylalt.weyl import WeylElement, generators, group_order, orbit
+from weylalt.rootsystem import build
+from weylalt.weyl import WeylElement, generators, group_order
 
 from tests.oracles import enumerate_group, inversion_length
 
@@ -110,24 +110,6 @@ def test_b4_action_is_signed_permutation():
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         assert w.act(lattice.add(lattice.scale(c, u), v)) == lattice.add(
             lattice.scale(c, w.act(u)), w.act(v))
-
-
-def test_orbit_sizes():
-    b3 = build("B", 3)
-    assert len(orbit(fundamental_weight(b3, 1), b3)) == 6  # plus-minus basis vectors
-    assert len(orbit(b3.rho, b3)) == 48  # regular orbit
-    assert len(orbit(lattice.zeros(3), b3)) == 1
-    a2 = build("A", 2)
-    assert len(orbit(fundamental_weight(a2, 1), a2)) == 3
-    assert len(orbit(highest_root(a2), a2)) == 6
-
-
-def test_orbit_preserves_norm():
-    rs = build("G2", 2)
-    theta = highest_root(rs)
-    norm = lattice.dot(theta, theta)
-    for v in orbit(theta, rs):
-        assert lattice.dot(v, v) == norm
 
 
 def test_identity_element():
