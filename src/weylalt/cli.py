@@ -19,24 +19,21 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import NamedTuple
 
 from . import lattice
 from .combinatorics import (fibonacci, nonconsecutive_subsets,
                             verify_alternating_identity)
 from .errors import CapExceeded, TableTooLarge, WeylaltError
 from .kostant import QPolynomial, partition_q, partition_q_bruteforce
-from .multiplicity import (Start, alternating_sum, alternation_set,
-                           integer_start,
+from .multiplicity import (alternating_sum, alternation_set,
                            predicted_alternation_set_B,
                            predicted_count_by_length_B, predicted_pq_B,
                            q_multiplicity, q_multiplicity_terms, start_terms,
-                           weight_diagram)
-from .rootsystem import (TYPES, build, coroot_pairings, fundamental_weight,
-                         highest_root, in_root_span, integer_weight,
-                         is_dominant, sum_of_simple_roots,
+                           walk_start, weight_diagram)
+from .rootsystem import (TYPES, Weight, build, fundamental_weight,
+                         highest_root, is_dominant, sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
-                         to_fundamental_coords)
+                         to_fundamental_coords, weight)
 from .weyl import DEFAULT_CAP, group_order
 
 EXIT_OK = 0
@@ -159,16 +156,6 @@ _TERM_RE = re.compile(
 )
 
 
-class ParsedWeight(NamedTuple):
-    """A weight expression as integer fundamental-weight coordinates over one
-    denominator, coords / denominator. eps is the ambient sum of its eps:
-    terms, None when it has none, kept for the root-span test."""
-
-    coords: tuple[int, ...]
-    denominator: int
-    eps: lattice.Vector | None
-
-
 def _named_term(m: re.Match, rs) -> tuple[int, ...]:
     """Fundamental coordinates of a named term, all integral (Humphreys 13):
     a unit vector, C theta, the row sums of C, or zeros."""
@@ -186,11 +173,11 @@ def _named_term(m: re.Match, rs) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(1, rs.rank + 1))
 
 
-def parse_weight(text: str, rs) -> ParsedWeight:
+def parse_weight(text: str, rs) -> Weight:
     """Evaluate a weight expression in the fundamental coordinates of rs.
 
     Named terms add integers. The eps: terms are summed in ambient
-    coordinates and converted once, by their coroot pairings.
+    coordinates and converted once, by rootsystem.weight.
     """
     squeezed = "".join(str(text).split())
     if not squeezed:
@@ -218,19 +205,9 @@ def parse_weight(text: str, rs) -> ParsedWeight:
             eps = tuple(map(combine, eps or lattice.zeros(rs.ambient_dim), parts))
         pos = m.end()
     if eps is None:
-        return ParsedWeight(named, 1, None)
-    coords, d = integer_weight(coroot_pairings(eps, rs))
-    return ParsedWeight(tuple(d * c + e for c, e in zip(named, coords)), d, eps)
-
-
-def _walk_start(lam: ParsedWeight, mu: ParsedWeight, rs) -> Start | None:
-    """The walk's start for two parsed weights; None when their eps: parts,
-    all that can leave the root span, differ off it."""
-    if lam.eps is not None or mu.eps is not None:
-        zero = lattice.zeros(rs.ambient_dim)
-        if not in_root_span(lattice.sub(lam.eps or zero, mu.eps or zero), rs):
-            return None
-    return integer_start(lam[:2], mu[:2], rs)
+        return Weight(named, 1)
+    coords, d, eps = weight(eps, rs)
+    return Weight(tuple(d * c + e for c, e in zip(named, coords)), d, eps)
 
 
 def _resolve_cap(args) -> int:
@@ -270,7 +247,7 @@ def _alternation_terms(args) -> tuple[dict, list, list[dict]]:
     lam = parse_weight(args.lam, rs)
     mu = parse_weight(args.mu, rs)
     cap = _resolve_cap(args)
-    terms = start_terms(_walk_start(lam, mu, rs), rs, cap)
+    terms = start_terms(walk_start(lam, mu, rs), rs, cap)
     records = [
         {"word": str(element),
          "length": element.length,

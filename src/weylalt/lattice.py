@@ -15,7 +15,11 @@ Vector = tuple[Fraction, ...]
 
 
 def vector(values: Iterable) -> Vector:
-    """Coerce ints, strings like '3/2', or Fractions into an exact vector."""
+    """Coerce ints, strings like '3/2', or Fractions into an exact vector;
+    ValueError on a float, whose binary value is not the number written."""
+    values = tuple(values)
+    if any(isinstance(v, float) for v in values):
+        raise ValueError(f"{values}: floats are not exact, give ints, Fractions or strings")
     return tuple(Fraction(v) for v in values)
 
 

@@ -19,14 +19,15 @@ coordinate, visiting only xi >= 0. The survivors of lambda are sigma =
 tau w^-1 at the same xi, each word read back from sigma(rho) = tau(w^-1 rho).
 Where nu_j = 0, tau and tau s_j cancel, so the alternating sums are 0.
 
-The walk starts from integers: xi_e and the pairings of lambda+rho over one
-common scale, built by integer_start alone from integer fundamental-weight
-coordinates with the integer adjugate of C. An ambient weight becomes such
-coordinates once, by its coroot pairings (rootsystem.coroot_pairings, then
-rootsystem.integer_weight): the library entries convert lambda and mu, the
-command line its summed eps: terms. Off the root span, tested only in A, G2,
-E6 and E7 (in_root_span), none survive; the library entries test lambda - mu
-by the difference of the two weights' pairings.
+The walk starts from integers, and every entry reaches it through one
+builder, walk_start, from two rootsystem.Weight values: integer
+fundamental-weight coordinates over a denominator, and the ambient eps part
+that can leave the root span. The library entries make them from ambient
+vectors (rootsystem.weight, one coroot pairing each), the command line from
+its weight expressions. walk_start tests the span once, on the eps parts,
+which only A, G2, E6 and E7 keep (off the span none survive), and reflects
+lambda+rho to nu once: the start carries xi at w^-1, nu's pairings and w's
+steps, so q_multiplicity reads a zero of nu off the start before any walk.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import add, mul, sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
 from .kostant import QPolynomial, _table_lookup
 from .lattice import Vector
-from .rootsystem import (IntegerWeight, RootSystem, coroot_pairings,
-                         in_root_span, integer_weight, is_dominant_integral)
+from .rootsystem import (RootSystem, Weight, in_root_span, is_dominant_integral,
+                         weight)
 from .weyl import DEFAULT_CAP, WeylElement, check_cap
 
 
@@ -66,33 +67,16 @@ class WeightDiagramEntry:
     multiplicity: int
 
 
-# The walk's start: xi_e and the coroot pairings of lambda+rho, both scaled
-# to integers by one common positive scale, and that scale.
-Start = tuple[tuple[int, ...], tuple[int, ...], int]
+class Start(NamedTuple):
+    """The walk's start for lambda+rho = w(nu), nu dominant, all over one
+    positive scale: xi at w^-1 in simple-root coordinates, nu's coroot
+    pairings, and the 0-based indices of the reflections that take lambda+rho
+    to nu, first applied first."""
 
-def integer_start(lam: IntegerWeight, mu: IntegerWeight, rs: RootSystem) -> Start:
-    """The walk's start for lambda and mu, integer fundamental-weight
-    coordinates each over its own denominator. Over their common d,
-    xi_e = C^-1 (lambda - mu) / d = adj(C) (lambda - mu) / (det(C) d) and the
-    pairings of lambda+rho are (lambda + d) / d, so the scale det(C) d makes
-    both integer without a Fraction."""
-    (lam, lam_d), (mu, mu_d) = lam, mu
-    d = lcm(lam_d, mu_d)
-    lam = [c * (d // lam_d) for c in lam]
-    difference = [a - c * (d // mu_d) for a, c in zip(lam, mu)]
-    det = rs.cartan_determinant
-    top = tuple(sum(map(mul, row, difference)) for row in rs.cartan_adjugate)
-    return top, tuple(det * (c + d) for c in lam), det * d
-
-
-def _start(lam: Vector, mu: Vector, rs: RootSystem) -> Start | None:
-    """integer_start for ambient lambda and mu, each paired with the coroots
-    once; None when lambda - mu, paired by the difference, is off the root
-    span."""
-    lam_pairings, mu_pairings = coroot_pairings(lam, rs), coroot_pairings(mu, rs)
-    if not in_root_span(lattice.sub(lam, mu), rs, lattice.sub(lam_pairings, mu_pairings)):
-        return None
-    return integer_start(integer_weight(lam_pairings), integer_weight(mu_pairings), rs)
+    xi: tuple[int, ...]
+    nu: tuple[int, ...]
+    steps: tuple[int, ...]
+    scale: int
 
 
 def _act(indices, v: tuple[int, ...], columns) -> tuple[int, ...]:
@@ -113,6 +97,27 @@ def _peel(v: tuple[int, ...], columns) -> tuple[tuple[int, ...], list]:
     return v, steps
 
 
+def walk_start(lam: Weight, mu: Weight, rs: RootSystem) -> Start | None:
+    """The walk's start for two weights; None when their eps parts, all that
+    can leave the root span, differ off it. Over the weights' common
+    denominator d, xi_e = adj(C) (lambda - mu) / (det(C) d) and the pairings
+    of lambda+rho are (lambda + d) / d, so the scale det(C) d makes both
+    integer. A reflection step at pairing c < 0 takes c off xi_i."""
+    if lam.eps is not None or mu.eps is not None:
+        zero = (0,) * rs.ambient_dim
+        if not in_root_span(lattice.sub(lam.eps or zero, mu.eps or zero), rs):
+            return None
+    d = lcm(lam.denominator, mu.denominator)
+    lam_coords = [c * (d // lam.denominator) for c in lam.coords]
+    difference = [a - c * (d // mu.denominator) for a, c in zip(lam_coords, mu.coords)]
+    det = rs.cartan_determinant
+    nu, steps = _peel(tuple(det * (c + d) for c in lam_coords), tuple(zip(*rs.cartan_matrix)))
+    xi = [sum(map(mul, row, difference)) for row in rs.cartan_adjugate]
+    for i, c in steps:
+        xi[i] -= c
+    return Start(tuple(xi), nu, tuple(i for i, _ in steps), det * d)
+
+
 def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
     """(element, xi simple-root coordinates) for every survivor of a start,
     none for a start of None; each xi is a tuple of nonnegative ints, which
@@ -120,13 +125,11 @@ def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
     check_cap(rs, cap)
     if start is None:
         return []
-    rank = rs.rank
-    columns = tuple(zip(*rs.cartan_matrix))  # alpha_i in fundamental coordinates
-    top, image, scale = start
-    nu, steps = _peel(image, columns)  # lambda+rho = w(nu); step (i, c) takes c off xi_i
-    xi = tuple(t - sum(c for j, c in steps if j == i) for i, t in enumerate(top))
+    xi, nu, steps, scale = start
     if min(xi) < 0:
         return []  # xi only decreases along the walk
+    rank = rs.rank
+    columns = tuple(zip(*rs.cartan_matrix))  # alpha_i in fundamental coordinates
 
     survivors = []
     stack = [((), (1,) * rank, nu, xi)]
@@ -149,7 +152,7 @@ def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
                           tuple(v - c * col for v, col in zip(image, column)),
                           xi[:i] + (xi[i] - c,) + xi[i + 1:]))
     if steps:  # sigma = tau w^-1 spells its word from sigma(rho) = tau(w^-1 rho)
-        back = _act([i for i, _ in steps], (1,) * rank, columns)
+        back = _act(steps, (1,) * rank, columns)
         for k, (word, xi) in enumerate(survivors):
             image = _act([i - 1 for i in reversed(word)], back, columns)
             survivors[k] = (tuple(i + 1 for i, _ in _peel(image, columns)[1]), xi)
@@ -159,7 +162,7 @@ def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
 def alternation_set(lam: Vector, mu: Vector, rs: RootSystem,
                     cap: int = DEFAULT_CAP) -> AlternationSet:
     """The Weyl alternation set of (lambda, mu)."""
-    terms = _survivor_terms(_start(lam, mu, rs), rs, cap)
+    terms = _survivor_terms(walk_start(weight(lam, rs), weight(mu, rs), rs), rs, cap)
     return AlternationSet(lam, mu, frozenset(element for element, _ in terms))
 
 
@@ -184,9 +187,9 @@ def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
     mu the sum is Lusztig's q-analog of weight multiplicity, the
     Kostka-Foulkes polynomial K_lambda,mu(q) (Kato 1982), whose coefficients
     are nonnegative."""
-    start = _start(lam, mu, rs)
+    start = walk_start(weight(lam, rs), weight(mu, rs), rs)
     check_cap(rs, cap)
-    if start is None or 0 in _peel(start[1], tuple(zip(*rs.cartan_matrix)))[0]:
+    if start is None or 0 in start.nu:
         return QPolynomial.zero()  # tau and tau s_j cancel where nu_j = 0
     terms = _survivor_terms(start, rs, cap)
     return alternating_sum((element, _table_lookup(coords, rs))
@@ -212,7 +215,7 @@ def q_multiplicity_terms(lam: Vector, mu: Vector, rs: RootSystem,
                          cap: int = DEFAULT_CAP
                          ) -> list[tuple[WeylElement, QPolynomial]]:
     """Per-element P_q values over the alternation set, sign not applied."""
-    return start_terms(_start(lam, mu, rs), rs, cap)
+    return start_terms(walk_start(weight(lam, rs), weight(mu, rs), rs), rs, cap)
 
 
 def weight_diagram(lam: Vector, rs: RootSystem,
@@ -229,9 +232,9 @@ def weight_diagram(lam: Vector, rs: RootSystem,
     frontier = [lam]
     while frontier:
         new_frontier = []
-        for weight in frontier:
+        for node in frontier:
             for root in rs.positive_roots:
-                candidate = lattice.sub(weight, root)
+                candidate = lattice.sub(node, root)
                 if candidate in found:
                     continue
                 m = multiplicity(lam, candidate, rs, cap)

@@ -26,9 +26,14 @@ are C applied to its simple-root coordinates, and the simple-root coordinates
 are C^-1 applied to the coroot pairings. build keeps C^-1 in one form, the
 integer adjugate and determinant from one fraction-free elimination of C
 (lattice.adjugate), so C^-1 = adj(C) / det(C) with det(C) = |P/Q| (Humphreys,
-Lie Algebras, 13.1). The fundamental weights are its columns, and
-integer_weight turns pairings into integer fundamental coordinates over one
-denominator, which adj(C) takes to simple-root coordinates in integers.
+Lie Algebras, 13.1). The fundamental weights are its columns.
+
+A Weight is the one form a weight takes on its way into the walk: integer
+fundamental coordinates over one denominator, which adj(C) takes to
+simple-root coordinates in integers, and the ambient part that can leave the
+root span, kept only where the span is not the whole space (A, G2, E6, E7).
+weight() makes one from an ambient vector, by its coroot pairings, and the
+command line makes one from named terms and eps: terms.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple
 
 from . import lattice
 from .errors import NotInRootSpan, UnsupportedRank
@@ -76,10 +81,6 @@ class RootSystem:
     simple_coroots: tuple[Vector, ...] = field(repr=False)
     cartan_adjugate: tuple[tuple[int, ...], ...] = field(repr=False)
     cartan_determinant: int = field(repr=False)
-
-    def coroot_pairing(self, w: Vector, i: int) -> Fraction:
-        """<w, alpha_i^vee> for 1-based i, alpha_i^vee = 2 alpha_i / |alpha_i|^2."""
-        return lattice.dot(w, self.simple_coroots[i - 1])
 
     def __str__(self) -> str:
         return _name(self.type_label, self.rank)
@@ -218,15 +219,25 @@ def build(type_label: str, rank: int) -> RootSystem:
     )
 
 
-# A weight as integer fundamental-weight coordinates over one denominator.
-IntegerWeight = tuple[Sequence[int], int]
+class Weight(NamedTuple):
+    """A weight as integer fundamental-weight coordinates over one positive
+    denominator, coords / denominator. eps is its ambient part that can leave
+    the root span, kept only in A, G2, E6 and E7 for the span test; None
+    elsewhere, and for a weight made only of named terms."""
+
+    coords: tuple[int, ...]
+    denominator: int
+    eps: Vector | None = None
 
 
 def coroot_pairings(w: Vector, rs: RootSystem) -> Vector:
     """The coroot pairings <w, alpha_i^vee>, i = 1..r, of an ambient vector:
-    its fundamental coordinates when w is in the root span."""
+    its fundamental coordinates when w is in the root span. ValueError on a
+    coordinate that is neither an int nor a Fraction."""
     if len(w) != rs.ambient_dim:
         raise ValueError(f"expected {rs.ambient_dim} coordinates, got {len(w)}")
+    if not all(isinstance(c, (int, Fraction)) for c in w):
+        raise ValueError(f"{tuple(w)}: coordinates must be ints or Fractions")
     return tuple(lattice.dot(w, v) for v in rs.simple_coroots)
 
 
@@ -242,11 +253,14 @@ def in_root_span(w: Vector, rs: RootSystem, pairings: Vector | None = None) -> b
     return _expand(pairings, rs.fundamental_weights) == w
 
 
-def integer_weight(coords: Vector) -> IntegerWeight:
-    """Fundamental coordinates, such as coroot_pairings gives, as integers
-    over their least common denominator."""
-    d = lcm(*(c.denominator for c in coords))
-    return tuple(c.numerator * (d // c.denominator) for c in coords), d
+def weight(v: Vector, rs: RootSystem) -> Weight:
+    """The Weight of an ambient vector: its coroot pairings as integers over
+    their least common denominator, and v itself as eps where the roots do
+    not span the ambient space."""
+    pairings = coroot_pairings(v, rs)
+    d = lcm(*(c.denominator for c in pairings))
+    return Weight(tuple(c.numerator * (d // c.denominator) for c in pairings), d,
+                  None if rs.ambient_dim == rs.rank else tuple(v))
 
 
 def to_fundamental_coords(w: Vector, rs: RootSystem) -> Vector:
@@ -258,12 +272,11 @@ def to_fundamental_coords(w: Vector, rs: RootSystem) -> Vector:
 
 
 def to_simple_root_coords(w: Vector, rs: RootSystem) -> Vector:
-    """Coordinates of w in the simple-root basis; NotInRootSpan if w is outside.
-    With its fundamental coordinates as integers c over d, they are
-    adj(C) c / (det(C) d)."""
-    coords, d = integer_weight(to_fundamental_coords(w, rs))
-    scale = rs.cartan_determinant * d
-    return tuple(Fraction(sum(map(mul, row, coords)), scale) for row in rs.cartan_adjugate)
+    """Coordinates of w in the simple-root basis, adj(C) applied to its
+    fundamental coordinates over det(C); NotInRootSpan if w is outside."""
+    pairings = to_fundamental_coords(w, rs)
+    return tuple(sum(map(mul, row, pairings), Fraction(0)) / rs.cartan_determinant
+                 for row in rs.cartan_adjugate)
 
 
 def is_dominant(w: Vector, rs: RootSystem) -> bool:

@@ -45,7 +45,7 @@ class WeylElement:
     def act(self, v: Vector) -> Vector:
         """Apply the element to an ambient vector, rightmost reflection first."""
         for i in reversed(self.word):
-            c = self.rs.coroot_pairing(v, i)
+            c = lattice.dot(v, self.rs.simple_coroots[i - 1])
             if c:
                 v = lattice.sub(v, lattice.scale(c, self.rs.simple_roots[i - 1]))
         return v

@@ -19,7 +19,7 @@ from weylalt import lattice
 from weylalt.errors import NotInRootSpan
 from weylalt.kostant import QPolynomial
 from weylalt.lattice import Vector
-from weylalt.rootsystem import RootSystem, to_simple_root_coords
+from weylalt.rootsystem import RootSystem, coroot_pairings, to_simple_root_coords
 from weylalt.weyl import DEFAULT_CAP, WeylElement, check_cap, generators
 
 
@@ -78,19 +78,28 @@ def orbit(v: Vector, rs: RootSystem) -> frozenset[Vector]:
 
 
 def ambient_start(lam: Vector, mu: Vector, rs: RootSystem):
-    """The walk's start for ambient lambda and mu by a Fraction solve: xi_e
-    and the coroot pairings of lambda+rho over their least common
-    denominator, and that denominator; None when lambda - mu is outside the
-    root span, which leaves no survivors."""
+    """The walk's start for ambient lambda and mu by a Fraction solve.
+
+    lambda+rho is reflected in ambient coordinates at its least negative
+    coroot pairing until it is a dominant nu, so lambda+rho = w(nu). The
+    start is xi = nu - (mu+rho) in simple-root coordinates and nu's pairings,
+    both over their least common denominator, the 0-based indices of the
+    reflections in the order applied, and that denominator. None when
+    lambda - mu is outside the root span, which leaves no survivors.
+    """
     try:
-        top = to_simple_root_coords(lattice.sub(lam, mu), rs)
+        to_simple_root_coords(lattice.sub(lam, mu), rs)
     except NotInRootSpan:
         return None
-    shifted = lattice.add(lam, rs.rho)
-    pairings = tuple(rs.coroot_pairing(shifted, i) for i in range(1, rs.rank + 1))
-    scale = lcm(*(c.denominator for c in top + pairings))
-    return (tuple(int(c * scale) for c in top),
-            tuple(int(c * scale) for c in pairings), scale)
+    nu, steps = lattice.add(lam, rs.rho), []
+    while min(pairings := coroot_pairings(nu, rs)) < 0:
+        i = min(j for j, c in enumerate(pairings) if c < 0)
+        steps.append(i)
+        nu = lattice.sub(nu, lattice.scale(pairings[i], rs.simple_roots[i]))
+    xi = to_simple_root_coords(lattice.sub(nu, lattice.add(mu, rs.rho)), rs)
+    scale = lcm(*(c.denominator for c in xi + pairings))
+    return (tuple(int(c * scale) for c in xi),
+            tuple(int(c * scale) for c in pairings), tuple(steps), scale)
 
 
 # === the q-analog of the Kostant partition function ===

@@ -56,9 +56,9 @@ def test_parse_weight(text, expected):
     for c, omega in zip(weight.coords, rs.fundamental_weights):
         ambient = lattice.add(ambient, lattice.scale(Fraction(c, denominator), omega))
     assert ambient == lattice.vector(ambient_expected)
-    # the eps: part, kept in ambient coordinates for the root-span test
-    eps = {"eps:1/2,-1/2,0": ("1/2", "-1/2", 0), "eps:1,0,0-w1": (1, 0, 0)}.get(text)
-    assert weight.eps == (None if eps is None else lattice.vector(eps))
+    # B3's roots span its ambient space, so no eps: part is kept for a
+    # root-span test
+    assert weight.eps is None
 
 
 REJECTED = {

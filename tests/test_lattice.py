@@ -14,6 +14,13 @@ def test_vector_coerces_to_fraction():
     assert all(isinstance(c, Fraction) for c in v)
 
 
+@pytest.mark.parametrize("values", [[0.1, 0, 0], [1, 2.0], [Fraction(1, 2), 0.5]])
+def test_vector_refuses_floats(values):
+    # 0.1 is 3602879701896397/36028797018963968 in binary, not 1/10
+    with pytest.raises(ValueError, match="floats are not exact"):
+        lattice.vector(values)
+
+
 def test_zeros():
     assert lattice.zeros(3) == (Fraction(0),) * 3
 

@@ -9,19 +9,19 @@ from math import lcm
 import pytest
 
 from weylalt import kostant, lattice
+from weylalt.cli import parse_weight
 from weylalt.combinatorics import lucas
 from weylalt.errors import CapExceeded, NotInRootSpan
 from weylalt.kostant import QPolynomial, partition_q
-from weylalt.multiplicity import (_start, _survivor_terms, alternating_sum,
-                                  alternation_set, integer_start,
-                                  multiplicity,
+from weylalt.multiplicity import (_survivor_terms, alternating_sum,
+                                  alternation_set, multiplicity,
                                   predicted_alternation_set_B,
                                   predicted_count_by_length_B, predicted_pq_B,
                                   q_multiplicity, q_multiplicity_terms,
-                                  weight_diagram)
+                                  walk_start, weight_diagram)
 from weylalt.rootsystem import (build, coroot_pairings, fundamental_weight,
-                                highest_root, integer_weight,
-                                sum_of_simple_roots, to_simple_root_coords)
+                                highest_root, sum_of_simple_roots,
+                                to_simple_root_coords, weight)
 from weylalt.weyl import WeylElement, generators, group_order
 
 from tests.oracles import (ambient_start, enumerate_group, inversion_length,
@@ -213,28 +213,9 @@ NINE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4),
               ("E6", 6), ("E7", 7), ("E8", 8)]
 
 
-@pytest.mark.parametrize("label, rank", NINE_TYPES)
-def test_integer_start_is_the_ambient_start(label, rank):
-    # integer fundamental coordinates, each weight over its own d, through
-    # adj(C) and det(C) give the Fraction solve's xi_e and pairings, up to
-    # the common scale; integer_weight reads the coordinates back in lowest
-    # terms
-    rs = build(label, rank)
-    rng = random.Random(41)
-
-    for _ in range(10):
-        lam_d, mu_d = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
-        lam = [rng.randint(-4, 4) for _ in range(rank)]
-        mu = [rng.randint(-4, 4) for _ in range(rank)]
-        top, pairings, scale = integer_start((lam, lam_d), (mu, mu_d), rs)
-        a_top, a_pairings, a_scale = ambient_start(weight_of(lam, lam_d, rs),
-                                                   weight_of(mu, mu_d, rs), rs)
-        assert [Fraction(x, scale) for x in top + pairings] == \
-            [Fraction(x, a_scale) for x in a_top + a_pairings]
-        coords, d = integer_weight(coroot_pairings(weight_of(lam, lam_d, rs), rs))
-        assert [Fraction(c, d) for c in coords] == [Fraction(c, lam_d) for c in lam]
-        assert all(type(c) is int for c in coords + (d,))
-        assert d == lcm(*(Fraction(c, lam_d).denominator for c in lam))
+def library_start(lam, mu, rs):
+    """The walk's start of the library entries, for ambient lambda and mu."""
+    return walk_start(weight(lam, rs), weight(mu, rs), rs)
 
 
 def off_span_unit(rs):
@@ -246,6 +227,44 @@ def off_span_unit(rs):
         except NotInRootSpan:
             return e
     return None
+
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
+def test_integer_start_is_the_ambient_start(label, rank):
+    # random weights over denominators 1 to 3, some of mu moved off the root
+    # span where A, G2, E6 and E7 leave room. A vector's Weight is the same
+    # through rootsystem.weight and through an eps: expression: integer
+    # coordinates in lowest terms, and eps kept only where the roots do not
+    # span. walk_start gives the Fraction solve's xi and pairings up to the
+    # common scale, and its steps; None exactly when mu is off the span.
+    rs = build(label, rank)
+    rng = random.Random(41)
+    off = off_span_unit(rs)
+    seen = Counter()
+    for _ in range(12):
+        lam = weight_of([rng.randint(-4, 4) for _ in range(rank)], rng.choice([1, 2, 3]), rs)
+        mu = weight_of([rng.randint(-4, 4) for _ in range(rank)], rng.choice([1, 2, 3]), rs)
+        moved = off is not None and rng.random() < 0.3
+        if moved:
+            mu = lattice.add(mu, lattice.scale(rng.choice([-1, Fraction(1, 2), 2]), off))
+        for v in (lam, mu):
+            w = weight(v, rs)
+            assert parse_weight("eps:" + ",".join(map(str, v)), rs) == w
+            assert all(type(c) is int for c in w.coords + (w.denominator,))
+            pairings = coroot_pairings(v, rs)
+            assert [Fraction(c, w.denominator) for c in w.coords] == list(pairings)
+            assert w.denominator == lcm(*(c.denominator for c in pairings))
+            assert w.eps == (None if off is None else v)
+        start, expected = library_start(lam, mu, rs), ambient_start(lam, mu, rs)
+        assert (start is None) == (expected is None) == moved
+        if start is not None:
+            xi, nu, steps, scale = start
+            a_xi, a_nu, a_steps, a_scale = expected
+            assert [Fraction(x, scale) for x in xi + nu] == \
+                [Fraction(x, a_scale) for x in a_xi + a_nu]
+            assert steps == a_steps
+        seen.update(moved=moved, steps=bool(start and start.steps))
+    assert seen["steps"] and (seen["moved"] or off is None)
 
 
 @pytest.mark.parametrize("label, rank", NINE_TYPES)
@@ -288,19 +307,18 @@ def test_library_start_matches_the_fraction_solve(label, rank):
         if moved:
             mu = lattice.add(mu, off)
         expected = _survivor_terms(ambient_start(lam, mu, rs), rs, order)
-        walked = _survivor_terms(_start(lam, mu, rs), rs, order)
+        walked = _survivor_terms(library_start(lam, mu, rs), rs, order)
         assert sorted((w.word, xi) for w, xi in walked) == \
             sorted((w.word, xi) for w, xi in expected)
         assert alternation_set(lam, mu, rs, order).elements == {w for w, _ in expected}
         if moved:
             assert not walked
             assert q_multiplicity(lam, mu, rs, order) == QPolynomial.zero()
-        shifted = [rs.coroot_pairing(lattice.add(lam, rs.rho), i)
-                   for i in range(1, rank + 1)]
+        shifted = coroot_pairings(lattice.add(lam, rs.rho), rs)
         seen.update(survivors=bool(walked), off_span=moved,
                     non_dominant=min(lam_coords) < 0, singular=0 in shifted,
                     non_dominant_shift=min(shifted) < 0,
-                    **{f"d={integer_weight(coroot_pairings(lam, rs))[1]}": 1})
+                    **{f"d={weight(lam, rs).denominator}": 1})
     assert seen["survivors"] and seen["non_dominant"] and seen["singular"]
     assert seen["d=2"] and seen["d=3"] and seen["non_dominant_shift"]
     assert seen["off_span"] or off is None
@@ -339,6 +357,47 @@ def test_spanning_types_start_without_the_fraction_solve(label, rank, monkeypatc
             q_multiplicity(two_theta, theta, rs, order)) == expected
     with pytest.raises(AssertionError, match="Fraction solve"):
         ambient_start(theta, zero, rs)
+
+
+@pytest.mark.parametrize("label, rank", [("B", 3), ("E6", 6)])
+def test_q_multiplicity_reflects_lambda_plus_rho_once(label, rank, monkeypatch):
+    # the start carries nu, so a query peels lambda+rho once; beyond that
+    # only a non-dominant lambda+rho reads each survivor's word back
+    rs = build(label, rank)
+    order = group_order(rs)
+    theta, zero = highest_root(rs), zero_of(rs)
+    reflected = lattice.sub(WeylElement((1,), rs).act(lattice.add(theta, rs.rho)), rs.rho)
+    survivors = len(alternation_set(reflected, zero, rs, order))
+    calls = []
+    peel = multiplicity_module._peel
+
+    def counted(*args):
+        calls.append(args)
+        return peel(*args)
+
+    monkeypatch.setattr(multiplicity_module, "_peel", counted)
+    for lam, expected in ((theta, 1), (lattice.scale(-1, rs.rho), 1),
+                          (reflected, 1 + survivors)):
+        calls.clear()
+        q_multiplicity(lam, zero, rs, order)
+        assert len(calls) == expected
+    assert survivors > 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda v, rs: multiplicity(v, zero_of(rs), rs),
+    lambda v, rs: q_multiplicity(zero_of(rs), v, rs),
+    lambda v, rs: alternation_set(v, zero_of(rs), rs),
+    lambda v, rs: weight_diagram(v, rs),
+    lambda v, rs: weight(v, rs),
+])
+@pytest.mark.parametrize("bad", [1.0, 0.5, "1"])
+def test_inexact_coordinates_are_refused(call, bad):
+    # a float, or a string, is neither an int nor a Fraction: refused at the
+    # door with a ValueError, not an AttributeError deep in the walk
+    rs = build("B", 3)
+    with pytest.raises(ValueError, match="ints or Fractions"):
+        call((bad, 0, 0), rs)
 
 
 def test_singular_shift_b2():
@@ -635,7 +694,7 @@ def test_reflected_lambda_plus_rho_flips_the_sign(label, rank):
         mq = q_multiplicity(lam, mu, rs, order)
         at_nu = q_multiplicity(lattice.sub(nu, rs.rho), mu, rs, order)
         assert mq == (-at_nu if len(word) % 2 else at_nu)
-        terms = _survivor_terms(_start(lam, mu, rs), rs, order)
+        terms = _survivor_terms(library_start(lam, mu, rs), rs, order)
         for sigma, xi in terms:
             image = lattice.sub(sigma.act(shifted), lattice.add(mu, rs.rho))
             assert to_simple_root_coords(image, rs) == xi
@@ -643,7 +702,7 @@ def test_reflected_lambda_plus_rho_flips_the_sign(label, rank):
             v = rs.rho
             for letter in reversed(sigma.word):
                 v = WeylElement((letter,), rs).act(v)
-                descents = [i for i in range(1, rank + 1) if rs.coroot_pairing(v, i) < 0]
+                descents = [i + 1 for i, c in enumerate(coroot_pairings(v, rs)) if c < 0]
                 assert letter == min(descents)
         seen.update(odd=len(word) % 2, nonzero=bool(at_nu), terms=len(terms),
                     moved=shifted != nu)

@@ -60,8 +60,7 @@ def test_fundamental_weights_dual_to_coroots(label, rank):
     rs = build(label, rank)
     for i in range(1, rank + 1):
         w = fundamental_weight(rs, i)
-        for j in range(1, rank + 1):
-            assert rs.coroot_pairing(w, j) == (1 if i == j else 0)
+        assert rootsystem.coroot_pairings(w, rs) == tuple(int(i == j) for j in range(1, rank + 1))
 
 
 @pytest.mark.parametrize("label, rank", ALL_SYSTEMS)
@@ -324,8 +323,9 @@ def test_coordinate_round_trips(label, rank):
         spans = rootsystem.in_root_span(w, rs)
         assert spans == (w == v)
         if spans:
-            ints, d = rootsystem.integer_weight(pairings)
+            ints, d, eps = rootsystem.weight(w, rs)
             assert all(type(c) is int for c in ints + (d,))
+            assert eps == (w if off_span else None)
             assert tuple(Fraction(c, d) for c in ints) == to_fundamental_coords(w, rs)
             assert to_simple_root_coords(w, rs) == tuple(coords)
         else:
