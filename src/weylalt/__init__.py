@@ -15,14 +15,14 @@ which one integer walk of the weak order finds for every type.
 from .errors import (CapExceeded, HeightExceeded, NotInRootSpan,
                      TableTooLarge, UnsupportedRank, WeylaltError)
 from .kostant import QPolynomial, partition, partition_q, partition_q_bruteforce
-from .multiplicity import (AlternationSet, WeightDiagramEntry,
+from .multiplicity import (DEFAULT_CAP, AlternationSet, WeightDiagramEntry,
                            alternation_set, multiplicity, q_multiplicity,
                            q_multiplicity_terms, weight_diagram)
 from .rootsystem import (RootSystem, build, fundamental_weight, highest_root,
                          is_dominant, is_dominant_integral, sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
                          to_fundamental_coords, to_simple_root_coords)
-from .weyl import DEFAULT_CAP, WeylElement, group_order
+from .weyl import WeylElement, group_order
 
 __version__ = "0.1.0"
 

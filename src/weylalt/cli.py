@@ -4,7 +4,7 @@ Subcommands: roots (root system data), weyl-alt (alternation set of a weight
 pair), mult (multiplicity and its q-analog), verify (named self-check suites).
 Every run prints one report as text or as json. Exit codes: 0 success,
 1 at least one verify check failed, 2 bad usage or unparseable input, 3 a
-resource limit was exceeded: the Weyl group cap or the P_q table budget.
+resource limit was exceeded: the walk's node cap or the P_q table budget.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .combinatorics import (fibonacci, nonconsecutive_subsets,
                             verify_alternating_identity)
 from .errors import CapExceeded, TableTooLarge, WeylaltError
 from .kostant import QPolynomial, partition_q, partition_q_bruteforce
-from .multiplicity import (alternating_sum, alternation_set,
+from .multiplicity import (DEFAULT_CAP, alternating_sum, alternation_set,
                            predicted_alternation_set_B,
                            predicted_count_by_length_B, predicted_pq_B,
                            q_multiplicity, q_multiplicity_terms, start_terms,
@@ -34,7 +34,7 @@ from .rootsystem import (TYPES, Weight, build, fundamental_weight,
                          highest_root, is_dominant, sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
                          to_fundamental_coords, weight)
-from .weyl import DEFAULT_CAP, group_order
+from .weyl import group_order
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -487,7 +487,7 @@ def _add_common(sub, with_cap=True):
                      default="text", help="output format")
     if with_cap:
         sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                         help="largest Weyl group the run may enumerate "
+                         help="most nodes one alternation-set walk may visit "
                               f"(default {DEFAULT_CAP})")
 
 

@@ -14,7 +14,7 @@ class UnsupportedRank(WeylaltError):
 
 
 class CapExceeded(WeylaltError):
-    """Weyl group order exceeds the configured cap."""
+    """An alternation-set walk visited more nodes than the configured cap."""
 
 
 class TableTooLarge(WeylaltError):

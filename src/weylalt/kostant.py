@@ -12,8 +12,8 @@ decompositions of one excess (coefficient_bound). The fill starts every row
 at excess 0, the simple roots' closed form q^ht(x), and adds one
 unbounded-knapsack pass per other positive root, one big-int update per row.
 table_layout fixes a table's width and packed axes and estimates its bytes
-once, from its row heights (height_bytes). A lookup outside the box builds a
-new table from that layout, unless the estimate passes TABLE_BUDGET_BYTES:
+once, from its row heights (height_bytes). A request outside the box builds
+a new table from that layout, unless the estimate passes TABLE_BUDGET_BYTES:
 then TableTooLarge is raised before anything is allocated.
 partition_q_bruteforce, an exhaustive search with no memo, is kept apart from
 the table as the oracle of `verify oracle`; the tests also check the table
@@ -324,9 +324,6 @@ class BoxTable:
     def __len__(self) -> int:
         return len(self.rows) * (self.plane // self.bits)
 
-    def covers(self, coords: tuple[int, ...]) -> bool:
-        return all(map(le, coords, self.top))
-
     def lookup(self, coords: tuple[int, ...]) -> QPolynomial:
         """P_q(coords) for coords inside the box: the planes upward from the
         cell, coefficient ht(coords) down to the fewest parts possible."""
@@ -437,28 +434,25 @@ def table_layout(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> Layo
 _DEFAULT_CACHES: dict[RootSystem, BoxTable] = {}
 
 
-def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
-    """P_q of nonnegative simple-root coordinates from rs's table.
-
-    A lookup outside the box builds a new table: over the coordinatewise
-    union of the old box and the request when that has no more cells than
-    the two together and fits TABLE_BUDGET_BYTES, else over the request
-    alone, so memory stays bounded and skewed lookups do not inflate the box.
-    A request over the budget raises TableTooLarge before anything is
-    allocated. The table is replaced as one dict entry and never changed in
-    place, so concurrent callers at worst build the same table twice.
-    """
+def _table_over(request: tuple[int, ...], rs: RootSystem) -> BoxTable:
+    """rs's P_q table, first rebuilt when it does not cover [0, request]:
+    over the coordinatewise union with the old box when that has no more
+    cells than the two together and fits TABLE_BUDGET_BYTES, else over the
+    request alone, so skewed requests do not inflate the box. Over the
+    budget, TableTooLarge is raised before anything is allocated. The table
+    is replaced as one dict entry and never changed in place, so concurrent
+    callers at worst build the same table twice."""
     table = _DEFAULT_CACHES.get(rs)
-    if table is None or not table.covers(coords):
+    if table is None or not all(map(le, request, table.top)):
         roots = rs.positive_root_alpha_coords
-        top = coords
+        top = request
         if table is not None:
-            union = tuple(map(max, table.top, coords))
-            if prod(t + 1 for t in union) <= len(table) + prod(c + 1 for c in coords):
+            union = tuple(map(max, table.top, request))
+            if prod(t + 1 for t in union) <= len(table) + prod(c + 1 for c in request):
                 top = union
         layout = table_layout(top, roots)
-        if layout.size > TABLE_BUDGET_BYTES and top != coords:
-            top = coords
+        if layout.size > TABLE_BUDGET_BYTES and top != request:
+            top = request
             layout = table_layout(top, roots)
         if layout.size > TABLE_BUDGET_BYTES:
             size = f"{'an estimated' if layout.bits else 'at least'} {layout.size:,} bytes"
@@ -466,19 +460,17 @@ def _table_lookup(coords: tuple[int, ...], rs: RootSystem) -> QPolynomial:
                 f"P_q table over the box {list(top)} has {prod(t + 1 for t in top):,} "
                 f"cells, {size}, over the budget of {TABLE_BUDGET_BYTES:,} bytes")
         table = _DEFAULT_CACHES[rs] = BoxTable(layout)
-    return table.lookup(coords)
+    return table
 
 
 def partition_q_alpha(coords: Sequence[int], rs: RootSystem) -> QPolynomial:
     """P_q for a vector given directly by simple-root coordinates."""
     if len(coords) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(coords)}")
-    if any(c != int(c) for c in coords):
+    if any(c != int(c) or c < 0 for c in coords):
         return QPolynomial.zero()
-    coords = tuple(int(c) for c in coords)
-    if any(c < 0 for c in coords):
-        return QPolynomial.zero()
-    return _table_lookup(coords, rs)
+    coords = tuple(map(int, coords))
+    return _table_over(coords, rs).lookup(coords)
 
 
 def partition_q(xi: Vector, rs: RootSystem) -> QPolynomial:

@@ -19,31 +19,32 @@ coordinate, visiting only xi >= 0. The survivors of lambda are sigma =
 tau w^-1 at the same xi, each word read back from sigma(rho) = tau(w^-1 rho).
 Where nu_j = 0, tau and tau s_j cancel, so the alternating sums are 0.
 
-The walk starts from integers, and every entry reaches it through one
-builder, walk_start, from two rootsystem.Weight values: integer
-fundamental-weight coordinates over a denominator, and the ambient eps part
-that can leave the root span. The library entries make them from ambient
-vectors (rootsystem.weight, one coroot pairing each), the command line from
-its weight expressions. walk_start tests the span once, on the eps parts,
-which only A, G2, E6 and E7 keep (off the span none survive), and reflects
-lambda+rho to nu once: the start carries xi at w^-1, nu's pairings and w's
-steps, so q_multiplicity reads a zero of nu off the start before any walk.
+Every entry reaches the walk through one builder, walk_start, from two
+rootsystem.Weight values (integer fundamental coordinates over a denominator,
+and the eps part that can leave the root span). It tests the span once and
+reflects lambda+rho to nu once, so q_multiplicity reads a zero of nu off the
+start before any walk. Each limit bounds its own work: the cap counts the
+walk's nodes, not |W|, and the one P_q table request per query is sized from
+the start before the walk, so an over-budget table is refused before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple
 
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
-from .kostant import QPolynomial, _table_lookup
+from .errors import CapExceeded
+from .kostant import QPolynomial, _table_over
 from .lattice import Vector
 from .rootsystem import (RootSystem, Weight, in_root_span, is_dominant_integral,
                          weight)
-from .weyl import DEFAULT_CAP, WeylElement, check_cap
+from .weyl import WeylElement
+
+DEFAULT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -118,22 +119,35 @@ def walk_start(lam: Weight, mu: Weight, rs: RootSystem) -> Start | None:
     return Start(tuple(xi), nu, tuple(i for i, _ in steps), det * d)
 
 
+def _may_survive(start: Start | None) -> bool:
+    """False when no node of the walk from start can survive. Each step takes
+    an integer combination of nu's pairings off xi, which keeps xi mod their
+    gcd g (a multiple of det(C)), and a survivor's xi is 0 mod the scale."""
+    if start is None:
+        return False
+    xi, nu, _, scale = start
+    step = gcd(scale, *nu)
+    return min(xi) >= 0 and not any(c % step for c in xi)
+
+
 def _survivor_terms(start: Start | None, rs: RootSystem, cap: int):
     """(element, xi simple-root coordinates) for every survivor of a start,
-    none for a start of None; each xi is a tuple of nonnegative ints, which
-    the P_q table reads as is."""
-    check_cap(rs, cap)
-    if start is None:
+    none when no node can survive; each xi is a tuple of nonnegative ints,
+    which the P_q table reads as is. CapExceeded as soon as the walk visits
+    more than cap nodes, the start included."""
+    if not _may_survive(start):
         return []
     xi, nu, steps, scale = start
-    if min(xi) < 0:
-        return []  # xi only decreases along the walk
     rank = rs.rank
     columns = tuple(zip(*rs.cartan_matrix))  # alpha_i in fundamental coordinates
 
     survivors = []
     stack = [((), (1,) * rank, nu, xi)]
+    nodes = 0
     while stack:
+        nodes += 1
+        if nodes > cap:
+            raise CapExceeded(f"the walk in W({rs}) passed the node cap {cap}")
         word, rho_image, image, xi = stack.pop()
         if all(c % scale == 0 for c in xi):
             survivors.append((word, tuple(c // scale for c in xi)))
@@ -188,12 +202,9 @@ def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
     Kostka-Foulkes polynomial K_lambda,mu(q) (Kato 1982), whose coefficients
     are nonnegative."""
     start = walk_start(weight(lam, rs), weight(mu, rs), rs)
-    check_cap(rs, cap)
     if start is None or 0 in start.nu:
         return QPolynomial.zero()  # tau and tau s_j cancel where nu_j = 0
-    terms = _survivor_terms(start, rs, cap)
-    return alternating_sum((element, _table_lookup(coords, rs))
-                           for element, coords in terms)
+    return alternating_sum(start_terms(start, rs, cap))
 
 
 def multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
@@ -205,8 +216,13 @@ def multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
 def start_terms(start: Start | None, rs: RootSystem, cap: int = DEFAULT_CAP
                 ) -> list[tuple[WeylElement, QPolynomial]]:
     """Per-element P_q values over the alternation set of a walk start,
-    sign not applied, by length and then word."""
-    return sorted(((element, _table_lookup(coords, rs))
+    sign not applied, by length and then word. The table is requested before
+    the walk, over [0, start xi / scale]: xi only falls along the walk."""
+    if not _may_survive(start):
+        return []
+    xi, _, _, scale = start
+    table = _table_over(tuple(c // scale for c in xi), rs)
+    return sorted(((element, table.lookup(coords))
                    for element, coords in _survivor_terms(start, rs, cap)),
                   key=lambda pair: (pair[0].length, pair[0].word))
 

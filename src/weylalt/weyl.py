@@ -4,6 +4,7 @@ An element is its lexicographically least reduced word, and it acts on
 ambient vectors only by applying the word's simple reflections. The
 weak-order walk in multiplicity produces those words; the tests check it
 against a breadth-first enumeration of the whole group (tests/oracles.py).
+group_order gives |W| for the roots report; no limit reads it.
 """
 
 from __future__ import annotations
@@ -12,11 +13,8 @@ import functools
 from dataclasses import dataclass, field
 
 from . import lattice
-from .errors import CapExceeded
 from .lattice import Vector
 from .rootsystem import TYPES, RootSystem
-
-DEFAULT_CAP = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,13 +55,6 @@ class WeylElement:
 def group_order(rs: RootSystem) -> int:
     _, _, order = TYPES[rs.type_label]
     return order(rs.rank)
-
-
-def check_cap(rs: RootSystem, cap: int) -> None:
-    """Raise CapExceeded when |W| is larger than cap."""
-    order = group_order(rs)
-    if order > cap:
-        raise CapExceeded(f"|W({rs})| = {order} exceeds cap {cap}")
 
 
 def coxeter_order(rs: RootSystem, i: int, j: int) -> int:

@@ -16,24 +16,31 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from weylalt import lattice
-from weylalt.errors import NotInRootSpan
+from weylalt.errors import CapExceeded, NotInRootSpan
 from weylalt.kostant import QPolynomial
 from weylalt.lattice import Vector
 from weylalt.rootsystem import RootSystem, coroot_pairings, to_simple_root_coords
-from weylalt.weyl import DEFAULT_CAP, WeylElement, check_cap, generators
+from weylalt.weyl import WeylElement, generators, group_order
 
 
 # === the Weyl group ===
 
-def enumerate_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> Iterator[WeylElement]:
+# the enumeration's own limit on |W|, apart from the library's node cap: it
+# keeps B8, E7 and E8 from being enumerated by accident
+GROUP_CAP = 2_000_000
+
+
+def enumerate_group(rs: RootSystem, cap: int = GROUP_CAP) -> Iterator[WeylElement]:
     """Yield every element once, in nondecreasing length, words lex-least.
 
-    Raises CapExceeded up front when the group order surpasses cap; the
-    default cap keeps E7/E8 from being enumerated by accident. The search is
-    keyed on w^-1(rho): rho is regular, so the keys are in bijection with W,
-    and the child w*s_g has key s_g(w^-1(rho)), one reflection away.
+    Raises CapExceeded up front when the group order surpasses cap. The
+    search is keyed on w^-1(rho): rho is regular, so the keys are in
+    bijection with W, and the child w*s_g has key s_g(w^-1(rho)), one
+    reflection away.
     """
-    check_cap(rs, cap)
+    order = group_order(rs)
+    if order > cap:
+        raise CapExceeded(f"|W({rs})| = {order} exceeds cap {cap}")
     gens = generators(rs)
     ident = WeylElement((), rs)
     seen = {rs.rho}

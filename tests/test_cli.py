@@ -262,10 +262,32 @@ def test_help_exits_ok(capsys):
 
 
 def test_exit_cap(capsys):
-    assert main(["mult", "E8", "8", "--lam", "w1"]) == EXIT_LIMIT
-    assert "cap" in capsys.readouterr().err
-    assert main(["weyl-alt", "B", "3", "--lam", "w1", "--cap", "10"]) == EXIT_LIMIT
-    capsys.readouterr()
+    # the cap counts the walk's nodes: B3 at w1 visits 3, and C8 at 2 theta
+    # visits 1,355, far below the default cap though |W(C8)| is 10,321,920
+    assert main(["mult", "B", "3", "--lam", "w1", "--cap", "2"]) == EXIT_LIMIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node cap 2" in captured.err
+    assert main(["mult", "C", "8", "--lam", "highest-root+highest-root",
+                 "--format", "json"]) == EXIT_OK
+    parameters = json.loads(capsys.readouterr().out)["parameters"]
+    assert parameters["cap"] == 2_000_000
+    assert (parameters["alternation_size"], parameters["multiplicity"]) == (1355, 36)
+
+
+def test_table_budget_is_checked_before_the_walk(monkeypatch, capsys):
+    # E8 at 3 theta needs at least 1.41 GB of table, so the run stops on the
+    # walk start's box and never enters the walk
+    def no_walk(*args):
+        raise AssertionError("the walk ran before the table budget was checked")
+
+    monkeypatch.setattr(importlib.import_module("weylalt.multiplicity"),
+                        "_survivor_terms", no_walk)
+    lam = "+".join(["highest-root"] * 3)
+    assert main(["weyl-alt", "E8", "8", "--lam", lam, "--cap", "696729600"]) == EXIT_LIMIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"budget of {kostant.TABLE_BUDGET_BYTES:,} bytes" in captured.err
 
 
 def test_exit_table_budget(monkeypatch, capsys):
@@ -358,7 +380,7 @@ def _fresh_process(argv):
 
 
 @pytest.mark.parametrize("runs", [
-    [(["mult", "B", "3", "--lam", "w1", "--cap", "5"], EXIT_LIMIT),
+    [(["mult", "B", "3", "--lam", "w1", "--cap", "2"], EXIT_LIMIT),
      (["mult", "B", "3", "--lam", "w1", "--format", "json"], EXIT_OK)],
     [(["verify", "identities", "--max-rank", "3"], EXIT_OK),
      (["verify", "identities"], EXIT_OK)],

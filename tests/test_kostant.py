@@ -530,11 +530,11 @@ def test_table_budget_at_multiples_of_theta(monkeypatch, label, rank, k, fits):
     monkeypatch.setitem(kostant._DEFAULT_CACHES, rs, None)
     monkeypatch.setattr(kostant, "BoxTable", Unfilled)
     if fits:
-        kostant._table_lookup(top, rs)
+        kostant._table_over(top, rs)
         assert kostant._DEFAULT_CACHES[rs].top == top
     else:
         with pytest.raises(TableTooLarge):
-            kostant._table_lookup(top, rs)
+            kostant._table_over(top, rs)
         assert kostant._DEFAULT_CACHES[rs] is None
 
 

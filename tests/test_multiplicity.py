@@ -10,8 +10,8 @@ import pytest
 
 from weylalt import kostant, lattice
 from weylalt.cli import parse_weight
-from weylalt.combinatorics import lucas
-from weylalt.errors import CapExceeded, NotInRootSpan
+from weylalt.combinatorics import lucas, nonconsecutive_subsets
+from weylalt.errors import CapExceeded, NotInRootSpan, TableTooLarge
 from weylalt.kostant import QPolynomial, partition_q
 from weylalt.multiplicity import (_survivor_terms, alternating_sum,
                                   alternation_set, multiplicity,
@@ -469,17 +469,53 @@ def test_q_multiplicity_at_theta_is_positive_and_monic(label, rank):
     assert len(mq.coeffs) == height + 1 and mq.coeffs[-1] == 1
 
 
-# === cap contract ===
+# === cap and table contract ===
 
 def test_alternation_set_cap():
+    # the cap counts the walk's nodes, the start included: B3 at w1 visits 3
     rs = build("B", 3)
+    with pytest.raises(CapExceeded, match="node cap 2"):
+        alternation_set(fundamental_weight(rs, 1), zero_of(rs), rs, cap=2)
     with pytest.raises(CapExceeded):
-        alternation_set(fundamental_weight(rs, 1), zero_of(rs), rs, cap=47)
-    with pytest.raises(CapExceeded):
-        q_multiplicity(fundamental_weight(rs, 1), zero_of(rs), rs, cap=47)
-    # the cap binds even though the fast path never enumerates the group
-    aset = alternation_set(fundamental_weight(rs, 1), zero_of(rs), rs, cap=48)
+        q_multiplicity(fundamental_weight(rs, 1), zero_of(rs), rs, cap=2)
+    aset = alternation_set(fundamental_weight(rs, 1), zero_of(rs), rs, cap=3)
     assert len(aset) == 3
+    assert q_multiplicity(fundamental_weight(rs, 1), zero_of(rs), rs, cap=3) == \
+        QPolynomial.monomial(3)
+
+
+def refuse(*args):
+    raise AssertionError("reached a step the query should not take")
+
+
+def test_table_budget_is_checked_before_the_walk(monkeypatch):
+    # E8 at 3 theta: the walk start's box needs at least 1.41 GB of table
+    rs = build("E8", 8)
+    monkeypatch.setattr(multiplicity_module, "_survivor_terms", refuse)
+    with pytest.raises(TableTooLarge):
+        q_multiplicity(lattice.scale(3, highest_root(rs)), zero_of(rs), rs,
+                       cap=group_order(rs))
+
+
+def test_alternation_set_requests_no_table(monkeypatch):
+    rs = build("E8", 8)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    monkeypatch.setattr(kostant, "table_layout", refuse)
+    aset = alternation_set(lattice.scale(2, highest_root(rs)), zero_of(rs), rs)
+    assert len(aset) == 26956
+
+
+def test_off_lattice_start_neither_walks_nor_builds_a_table(monkeypatch):
+    # every step takes a multiple of det(C) = 2 off xi, and B8's w8 has
+    # xi = (1, 2, ..., 8) over the scale 2, so no node can survive
+    rs = build("B", 8)
+    lam = fundamental_weight(rs, 8)
+    assert walk_start(weight(lam, rs), weight(zero_of(rs), rs), rs).xi[0] % 2 == 1
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    monkeypatch.setattr(kostant, "table_layout", refuse)
+    assert q_multiplicity_terms(lam, zero_of(rs), rs, cap=1) == []
+    assert len(alternation_set(lam, zero_of(rs), rs, cap=1)) == 0
+    assert q_multiplicity(lam, zero_of(rs), rs, cap=1) == QPolynomial.zero()
 
 
 # === weight diagrams ===
@@ -603,16 +639,31 @@ def test_predicted_count_by_length():
 # === the paper's C, D and exceptional counts for lam = sum of simple roots ===
 
 @pytest.mark.parametrize("label, rank, expected", [
-    *[("C", r, 2 * lucas(r - 2)) for r in range(3, 10)],
-    *[("D", r, 2 * lucas(r - 3)) for r in range(4, 10)],
+    *[("C", r, 2 * lucas(r - 2)) for r in range(3, 13)],
+    *[("D", r, 2 * lucas(r - 3)) for r in range(4, 14)],
     ("G2", 2, 2), ("F4", 4, 4), ("E6", 6, 12), ("E7", 7, 18), ("E8", 8, 30),
 ])
 def test_sum_of_simple_roots_alternation_counts(label, rank, expected):
-    # lam + rho is dominant but singular here, so the signed terms cancel to 0
+    # lam + rho is dominant but singular here, so the signed terms cancel to
+    # 0; the default cap holds, as it counts the walk's nodes, not |W|
     rs = build(label, rank)
-    lam, cap = sum_of_simple_roots(rs), group_order(rs)
-    assert len(alternation_set(lam, zero_of(rs), rs, cap)) == expected
-    assert q_multiplicity(lam, zero_of(rs), rs, cap) == QPolynomial.zero()
+    lam = sum_of_simple_roots(rs)
+    assert len(alternation_set(lam, zero_of(rs), rs)) == expected
+    assert q_multiplicity(lam, zero_of(rs), rs) == QPolynomial.zero()
+
+
+@pytest.mark.parametrize("rank", range(2, 10))
+def test_highest_root_alternation_set_in_type_a(rank):
+    # A_r at theta: the products of commuting s_i over nonconsecutive index
+    # sets inside {2..r-1}, F_r of them, and a word of length k has
+    # P_q = q^(1+k) (1+q)^(r-1-2k); at the default cap
+    rs = build("A", rank)
+    terms = q_multiplicity_terms(highest_root(rs), zero_of(rs), rs)
+    assert sorted(element.word for element, _ in terms) == \
+        sorted(nonconsecutive_subsets(2, rank - 1))
+    for element, pq in terms:
+        k = element.length
+        assert pq == QPolynomial((1, 1)) ** (rank - 1 - 2 * k) * QPolynomial.monomial(1 + k)
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
@@ -649,7 +700,7 @@ def test_singular_lambda_plus_rho_gives_zero(label, rank):
 def test_singular_lambda_plus_rho_needs_no_walk(label, monkeypatch):
     # at lam = mu = -rho every sigma survives, and at lam = sum-simple, mu = 0
     # the walk lists 12, 18 or 30 terms, yet nu has a zero pairing in both,
-    # so the sums are 0 with no walk and no P_q lookup; the cap still binds
+    # so the sums are 0 with no walk and no P_q table, even at a cap of 1
     rs = build(label, int(label[1]))
     order = group_order(rs)
     minus_rho = lattice.scale(-1, rs.rho)
@@ -657,17 +708,13 @@ def test_singular_lambda_plus_rho_needs_no_walk(label, monkeypatch):
     assert len(q_multiplicity_terms(*cases[1], rs, order)) == {"E6": 12, "E7": 18,
                                                                "E8": 30}[label]
 
-    def refuse(*args):
-        raise AssertionError("a singular lambda+rho reached the walk or the table")
-
     for module in (multiplicity_module, kostant):
-        monkeypatch.setattr(module, "_table_lookup", refuse)
+        monkeypatch.setattr(module, "_table_over", refuse)
     monkeypatch.setattr(multiplicity_module, "_survivor_terms", refuse)
     for lam, mu in cases:
         assert q_multiplicity(lam, mu, rs, order) == QPolynomial.zero()
         assert multiplicity(lam, mu, rs, order) == 0
-        with pytest.raises(CapExceeded):
-            q_multiplicity(lam, mu, rs, order - 1)
+        assert q_multiplicity(lam, mu, rs, cap=1) == QPolynomial.zero()
 
 
 @pytest.mark.parametrize("label, rank", NINE_TYPES)
