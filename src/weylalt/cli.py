@@ -176,8 +176,8 @@ def _named_term(m: re.Match, rs) -> tuple[int, ...]:
 def parse_weight(text: str, rs) -> Weight:
     """Evaluate a weight expression in the fundamental coordinates of rs.
 
-    Named terms add integers. The eps: terms are summed in ambient
-    coordinates and converted once, by rootsystem.weight.
+    Named terms add integers, in the root span. The eps: terms are summed in
+    ambient coordinates and converted once, by rootsystem.weight, with off.
     """
     squeezed = "".join(str(text).split())
     if not squeezed:
@@ -206,8 +206,8 @@ def parse_weight(text: str, rs) -> Weight:
         pos = m.end()
     if eps is None:
         return Weight(named, 1)
-    coords, d, eps = weight(eps, rs)
-    return Weight(tuple(d * c + e for c, e in zip(named, coords)), d, eps)
+    coords, d, off = weight(eps, rs)
+    return Weight(tuple(d * c + e for c, e in zip(named, coords)), d, off)
 
 
 def _resolve_cap(args) -> int:

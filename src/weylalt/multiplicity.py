@@ -20,8 +20,8 @@ tau w^-1 at the same xi, each word read back from sigma(rho) = tau(w^-1 rho).
 Where nu_j = 0, tau and tau s_j cancel, so the alternating sums are 0.
 
 Every entry reaches the walk through one builder, walk_start, from two
-rootsystem.Weight values (integer fundamental coordinates over a denominator,
-and the eps part that can leave the root span). It tests the span once and
+rootsystem.Weight values (integer fundamental coordinates over a denominator
+and the part off the root span). Equal off parts are its span test; it
 reflects lambda+rho to nu once, so q_multiplicity reads a zero of nu off the
 start before any walk. Each limit bounds its own work: the cap counts the
 walk's nodes, not |W|, and the one P_q table request per query is sized from
@@ -37,11 +37,10 @@ from typing import Iterable, NamedTuple
 
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
-from .errors import CapExceeded
+from .errors import CapExceeded, NotInRootSpan
 from .kostant import QPolynomial, _table_over
 from .lattice import Vector
-from .rootsystem import (RootSystem, Weight, in_root_span, is_dominant_integral,
-                         weight)
+from .rootsystem import RootSystem, Weight, weight
 from .weyl import WeylElement
 
 DEFAULT_CAP = 2_000_000
@@ -99,15 +98,13 @@ def _peel(v: tuple[int, ...], columns) -> tuple[tuple[int, ...], list]:
 
 
 def walk_start(lam: Weight, mu: Weight, rs: RootSystem) -> Start | None:
-    """The walk's start for two weights; None when their eps parts, all that
-    can leave the root span, differ off it. Over the weights' common
+    """The walk's start for two weights; None when lambda - mu leaves the
+    root span, that is, when their off parts differ. Over the weights' common
     denominator d, xi_e = adj(C) (lambda - mu) / (det(C) d) and the pairings
     of lambda+rho are (lambda + d) / d, so the scale det(C) d makes both
     integer. A reflection step at pairing c < 0 takes c off xi_i."""
-    if lam.eps is not None or mu.eps is not None:
-        zero = (0,) * rs.ambient_dim
-        if not in_root_span(lattice.sub(lam.eps or zero, mu.eps or zero), rs):
-            return None
+    if lam.off != mu.off:
+        return None
     d = lcm(lam.denominator, mu.denominator)
     lam_coords = [c * (d // lam.denominator) for c in lam.coords]
     difference = [a - c * (d // mu.denominator) for a, c in zip(lam_coords, mu.coords)]
@@ -201,10 +198,7 @@ def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
     mu the sum is Lusztig's q-analog of weight multiplicity, the
     Kostka-Foulkes polynomial K_lambda,mu(q) (Kato 1982), whose coefficients
     are nonnegative."""
-    start = walk_start(weight(lam, rs), weight(mu, rs), rs)
-    if start is None or 0 in start.nu:
-        return QPolynomial.zero()  # tau and tau s_j cancel where nu_j = 0
-    return alternating_sum(start_terms(start, rs, cap))
+    return _start_sum(walk_start(weight(lam, rs), weight(mu, rs), rs), rs, cap)
 
 
 def multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
@@ -227,6 +221,13 @@ def start_terms(start: Start | None, rs: RootSystem, cap: int = DEFAULT_CAP
                   key=lambda pair: (pair[0].length, pair[0].word))
 
 
+def _start_sum(start: Start | None, rs: RootSystem, cap: int) -> QPolynomial:
+    """The alternating sum of P_q over the survivors of a walk start."""
+    if start is None or 0 in start.nu:
+        return QPolynomial.zero()  # tau and tau s_j cancel where nu_j = 0
+    return alternating_sum(start_terms(start, rs, cap))
+
+
 def q_multiplicity_terms(lam: Vector, mu: Vector, rs: RootSystem,
                          cap: int = DEFAULT_CAP
                          ) -> list[tuple[WeylElement, QPolynomial]]:
@@ -236,30 +237,29 @@ def q_multiplicity_terms(lam: Vector, mu: Vector, rs: RootSystem,
 
 def weight_diagram(lam: Vector, rs: RootSystem,
                    cap: int = DEFAULT_CAP) -> list[WeightDiagramEntry]:
-    """All weights of the irreducible module of highest weight lambda.
+    """All weights of the irreducible module of highest weight lambda;
+    NotInRootSpan off the root span, ValueError unless dominant integral.
 
     Walk downward from lambda by positive-root steps, keeping the nodes of
     positive multiplicity; every weight is reachable through such nodes, so
-    the zero-multiplicity pruning loses nothing and bounds the walk.
+    the zero-multiplicity pruning loses nothing and bounds the walk. Each
+    candidate's start pairs lambda's one Weight with the candidate's own.
     """
-    if not is_dominant_integral(lam, rs):
+    top = weight(lam, rs)
+    if top.off is not None:
+        raise NotInRootSpan(f"{lam} is not in the span of the simple roots of {rs}")
+    if top.denominator != 1 or min(top.coords) < 0:
         raise ValueError(f"{lam} is not a dominant integral weight of {rs}")
-    found: dict[Vector, int] = {lam: multiplicity(lam, lam, rs, cap)}
+    found: dict[Vector, int] = {lam: 1}  # the highest weight's (Humphreys 20.2)
     frontier = [lam]
     while frontier:
-        new_frontier = []
-        for node in frontier:
-            for root in rs.positive_roots:
-                candidate = lattice.sub(node, root)
-                if candidate in found:
-                    continue
-                m = multiplicity(lam, candidate, rs, cap)
-                found[candidate] = m
-                if m > 0:
-                    new_frontier.append(candidate)
-        frontier = new_frontier
-    return [WeightDiagramEntry(weight, m)
-            for weight, m in sorted(found.items()) if m > 0]
+        fresh = [v for v in dict.fromkeys(lattice.sub(node, root) for node in frontier
+                                          for root in rs.positive_roots) if v not in found]
+        for v in fresh:
+            found[v] = _start_sum(walk_start(top, weight(v, rs), rs), rs, cap).evaluate(1)
+        frontier = [v for v in fresh if found[v] > 0]
+    return [WeightDiagramEntry(vector, m)
+            for vector, m in sorted(found.items()) if m > 0]
 
 
 def predicted_alternation_set_B(r: int) -> set[tuple[int, ...]]:

@@ -30,10 +30,10 @@ Lie Algebras, 13.1). The fundamental weights are its columns.
 
 A Weight is the one form a weight takes on its way into the walk: integer
 fundamental coordinates over one denominator, which adj(C) takes to
-simple-root coordinates in integers, and the ambient part that can leave the
-root span, kept only where the span is not the whole space (A, G2, E6, E7).
-weight() makes one from an ambient vector, by its coroot pairings, and the
-command line makes one from named terms and eps: terms.
+simple-root coordinates in integers, and off, its part orthogonal to the root
+span. weight() is the one conversion from an ambient vector, by its coroot
+pairings; every other conversion reads it and raises NotInRootSpan where off
+is not None. The command line makes a Weight from named and eps: terms.
 """
 
 from __future__ import annotations
@@ -221,13 +221,14 @@ def build(type_label: str, rank: int) -> RootSystem:
 
 class Weight(NamedTuple):
     """A weight as integer fundamental-weight coordinates over one positive
-    denominator, coords / denominator. eps is its ambient part that can leave
-    the root span, kept only in A, G2, E6 and E7 for the span test; None
-    elsewhere, and for a weight made only of named terms."""
+    denominator, and off, what is left of the weight after the combination of
+    fundamental weights they name: its part off the root span, None when 0,
+    as always in B, C, D, F4 and E8. off is linear, so lambda - mu is in the
+    span exactly when lambda.off == mu.off."""
 
     coords: tuple[int, ...]
     denominator: int
-    eps: Vector | None = None
+    off: Vector | None = None
 
 
 def coroot_pairings(w: Vector, rs: RootSystem) -> Vector:
@@ -241,50 +242,47 @@ def coroot_pairings(w: Vector, rs: RootSystem) -> Vector:
     return tuple(lattice.dot(w, v) for v in rs.simple_coroots)
 
 
-def in_root_span(w: Vector, rs: RootSystem, pairings: Vector | None = None) -> bool:
-    """Whether w lies in the span of the simple roots: the whole ambient space
-    but in A, G2, E6 and E7, where w is in it iff its coroot pairings, as
-    fundamental coordinates, give w back. A caller that holds w's pairings
-    passes them."""
-    if rs.ambient_dim == rs.rank:
-        return True
-    if pairings is None:
-        pairings = coroot_pairings(w, rs)
-    return _expand(pairings, rs.fundamental_weights) == w
-
-
 def weight(v: Vector, rs: RootSystem) -> Weight:
-    """The Weight of an ambient vector: its coroot pairings as integers over
-    their least common denominator, and v itself as eps where the roots do
-    not span the ambient space."""
+    """The Weight of an ambient vector, the one conversion from one: its
+    coroot pairings as integers over their least common denominator, and as
+    off, v less the combination of fundamental weights they name."""
     pairings = coroot_pairings(v, rs)
     d = lcm(*(c.denominator for c in pairings))
+    off = (None if rs.ambient_dim == rs.rank  # the fundamental weights span
+           else lattice.sub(v, _expand(pairings, rs.fundamental_weights)))
     return Weight(tuple(c.numerator * (d // c.denominator) for c in pairings), d,
-                  None if rs.ambient_dim == rs.rank else tuple(v))
+                  off if off and any(off) else None)
+
+
+def _spanned(w: Vector, rs: RootSystem) -> Weight:
+    """The Weight of w; NotInRootSpan when w has a part off the root span."""
+    found = weight(w, rs)
+    if found.off is not None:
+        raise NotInRootSpan(f"{w} is not in the span of the simple roots of {rs}")
+    return found
 
 
 def to_fundamental_coords(w: Vector, rs: RootSystem) -> Vector:
     """Coordinates of w in the fundamental-weight basis; NotInRootSpan outside the span."""
-    pairings = coroot_pairings(w, rs)
-    if not in_root_span(w, rs, pairings):
-        raise NotInRootSpan(f"{w} is not in the span of the simple roots of {rs}")
-    return pairings
+    coords, d, _ = _spanned(w, rs)
+    return tuple(Fraction(c, d) for c in coords)
 
 
 def to_simple_root_coords(w: Vector, rs: RootSystem) -> Vector:
-    """Coordinates of w in the simple-root basis, adj(C) applied to its
-    fundamental coordinates over det(C); NotInRootSpan if w is outside."""
-    pairings = to_fundamental_coords(w, rs)
-    return tuple(sum(map(mul, row, pairings), Fraction(0)) / rs.cartan_determinant
+    """Coordinates of w in the simple-root basis, adj(C) applied to its integer
+    fundamental coordinates over det(C) d; NotInRootSpan if w is outside."""
+    coords, d, _ = _spanned(w, rs)
+    return tuple(Fraction(sum(map(mul, row, coords)), rs.cartan_determinant * d)
                  for row in rs.cartan_adjugate)
 
 
 def is_dominant(w: Vector, rs: RootSystem) -> bool:
-    return all(c >= 0 for c in to_fundamental_coords(w, rs))
+    return all(c >= 0 for c in _spanned(w, rs).coords)
 
 
 def is_dominant_integral(w: Vector, rs: RootSystem) -> bool:
-    return all(c >= 0 and c.denominator == 1 for c in to_fundamental_coords(w, rs))
+    coords, d, _ = _spanned(w, rs)
+    return d == 1 and all(c >= 0 for c in coords)
 
 
 def fundamental_weight(rs: RootSystem, i: int) -> Vector:

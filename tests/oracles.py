@@ -5,21 +5,25 @@ that finds alternation sets, and the Fraction orbit of omega_1 the weight
 diagrams of B_r; a Fraction solve in ambient coordinates checks the integer
 start the walk begins from; a memoized recursion over a permuted root list
 checks the P_q table; Kostka-Foulkes polynomials by charge check the q-analog
-of weight multiplicity in type A. None of them imports
-weylalt.multiplicity or the table behind kostant.partition_q, so none shares
-the code it checks.
+of weight multiplicity in type A; Freudenthal's recursion and the Weyl
+dimension formula check weight multiplicities and diagrams in every type.
+None of them imports weylalt.multiplicity or the table behind
+kostant.partition_q, so none shares the code it checks.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from weylalt import lattice
 from weylalt.errors import CapExceeded, NotInRootSpan
 from weylalt.kostant import QPolynomial
 from weylalt.lattice import Vector
-from weylalt.rootsystem import RootSystem, coroot_pairings, to_simple_root_coords
+from weylalt.rootsystem import (RootSystem, coroot_pairings, is_dominant_integral,
+                                to_fundamental_coords, to_simple_root_coords)
 from weylalt.weyl import WeylElement, generators, group_order
 
 
@@ -163,6 +167,97 @@ def partition_q_recursive(xi: Vector, rs: RootSystem,
         return QPolynomial.zero()
     coords = tuple(int(c) for c in coords)
     return QPolynomial(_recurse(coords, 0, tuple(roots[i] for i in root_order), {}))
+
+
+# === Freudenthal's formula and the Weyl dimension formula ===
+
+def weyl_dimension(lam: Vector, rs: RootSystem) -> Fraction:
+    """The product over alpha > 0 of (lambda+rho, alpha) / (rho, alpha) in
+    ambient coordinates: the dimension of the irreducible module of dominant
+    integral lambda (Humphreys, Lie Algebras, 24.3)."""
+    shifted = lattice.add(lam, rs.rho)
+    dimension = Fraction(1)
+    for alpha in rs.positive_roots:
+        dimension *= lattice.dot(shifted, alpha) / lattice.dot(rs.rho, alpha)
+    return dimension
+
+
+def freudenthal(lam: Vector, rs: RootSystem) -> dict[Vector, int]:
+    """The multiplicity at every dominant weight mu <= lambda of the
+    irreducible module of dominant integral lambda, keyed by ambient mu, by
+    Freudenthal's recursion (Humphreys, 22.3):
+
+        ((lambda+rho, lambda+rho) - (mu+rho, mu+rho)) m(mu)
+            = 2 sum over alpha > 0 and k >= 1 of (mu + k alpha, alpha) m(mu + k alpha).
+
+    A weight is held as c, the simple-root coordinates of lambda - mu, so
+    the recursion runs in integers: mu's fundamental coordinates are
+    lambda's less C c, and s_i adds mu_i to c_i. m(nu) is m at the dominant
+    weight of nu's orbit (21.2), and nu is a weight exactly when that
+    weight's c is nonnegative (21.3), so the sum over k stops at the first
+    k that leaves the unbroken alpha-string. Twice the form is
+    sum_j x_j y_j |alpha_j|^2 for x in fundamental and y in simple-root
+    coordinates. The weights are joined by simple-root steps, and taking
+    each to its dominant weight turns such a chain into steps of plus or
+    minus a root, so those steps from lambda reach every dominant weight.
+    """
+    if not is_dominant_integral(lam, rs):
+        raise ValueError(f"{lam} is not a dominant integral weight of {rs}")
+    top = [int(c) for c in to_fundamental_coords(lam, rs)]
+    cartan = rs.cartan_matrix
+    roots = [(a, tuple(sum(map(mul, row, a)) for row in cartan))
+             for a in rs.positive_root_alpha_coords]
+    norms = [lattice.dot(alpha, alpha) for alpha in rs.simple_roots]
+
+    def below(c):  # mu's fundamental coordinates
+        return [t - sum(map(mul, row, c)) for t, row in zip(top, cartan)]
+
+    def dominant(c):
+        c = list(c)
+        while min(mu := below(c)) < 0:
+            i = mu.index(min(mu))
+            c[i] += mu[i]
+        return tuple(c)
+
+    def form(x, y):
+        return sum(a * b * n for a, b, n in zip(x, y, norms))
+
+    found = {(0,) * rs.rank}
+    frontier = list(found)
+    while frontier:
+        reached = []
+        for c in frontier:
+            for a, _ in roots:
+                for sign in (1, -1):
+                    d = dominant([x + sign * y for x, y in zip(c, a)])
+                    if min(d) >= 0 and d not in found:
+                        found.add(d)
+                        reached.append(d)
+        frontier = reached
+
+    m = {}
+    for c in sorted(found, key=sum):  # every m(mu + k alpha) is higher, so known
+        if not any(c):
+            m[c] = 1
+            continue
+        mu = below(c)
+        total = 0
+        for a, alpha in roots:
+            k = 1
+            while min(up := dominant([x - k * y for x, y in zip(c, a)])) >= 0:
+                total += form([x + k * y for x, y in zip(mu, alpha)], a) * m[up]
+                k += 1
+        m[c] = 2 * total / form([t + x + 2 for t, x in zip(top, mu)], c)
+        assert m[c].denominator == 1 and m[c] > 0
+    return {lattice.sub(lam, _combination(c, rs.simple_roots)): int(value)
+            for c, value in m.items()}
+
+
+def _combination(coords, basis) -> Vector:
+    v = lattice.zeros(len(basis[0]))
+    for c, b in zip(coords, basis):
+        v = lattice.add(v, lattice.scale(c, b))
+    return v
 
 
 # === Kostka-Foulkes polynomials in type A ===

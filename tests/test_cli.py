@@ -56,9 +56,8 @@ def test_parse_weight(text, expected):
     for c, omega in zip(weight.coords, rs.fundamental_weights):
         ambient = lattice.add(ambient, lattice.scale(Fraction(c, denominator), omega))
     assert ambient == lattice.vector(ambient_expected)
-    # B3's roots span its ambient space, so no eps: part is kept for a
-    # root-span test
-    assert weight.eps is None
+    # B3's roots span its ambient space, so no weight has a part off it
+    assert weight.off is None
 
 
 REJECTED = {

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from weylalt import kostant, lattice
+from weylalt import kostant, lattice, rootsystem
 from weylalt.cli import parse_weight
 from weylalt.combinatorics import lucas, nonconsecutive_subsets
 from weylalt.errors import CapExceeded, NotInRootSpan, TableTooLarge
@@ -20,12 +20,13 @@ from weylalt.multiplicity import (_survivor_terms, alternating_sum,
                                   q_multiplicity, q_multiplicity_terms,
                                   walk_start, weight_diagram)
 from weylalt.rootsystem import (build, coroot_pairings, fundamental_weight,
-                                highest_root, sum_of_simple_roots,
+                                highest_root, is_dominant, sum_of_simple_roots,
                                 to_simple_root_coords, weight)
 from weylalt.weyl import WeylElement, generators, group_order
 
-from tests.oracles import (ambient_start, enumerate_group, inversion_length,
-                           kostka_foulkes, partitions)
+from tests.oracles import (ambient_start, enumerate_group, freudenthal,
+                           inversion_length, kostka_foulkes, orbit, partitions,
+                           weyl_dimension)
 
 # the package re-exports the function multiplicity over the module's name
 multiplicity_module = importlib.import_module("weylalt.multiplicity")
@@ -234,9 +235,11 @@ def test_integer_start_is_the_ambient_start(label, rank):
     # random weights over denominators 1 to 3, some of mu moved off the root
     # span where A, G2, E6 and E7 leave room. A vector's Weight is the same
     # through rootsystem.weight and through an eps: expression: integer
-    # coordinates in lowest terms, and eps kept only where the roots do not
-    # span. walk_start gives the Fraction solve's xi and pairings up to the
-    # common scale, and its steps; None exactly when mu is off the span.
+    # coordinates in lowest terms, and off, the vector less the combination
+    # of fundamental weights they name, which no coroot sees and which is
+    # None unless the vector was moved off the span. walk_start gives the
+    # Fraction solve's xi and pairings up to the common scale, and its steps;
+    # None exactly when mu is off the span.
     rs = build(label, rank)
     rng = random.Random(41)
     off = off_span_unit(rs)
@@ -254,7 +257,9 @@ def test_integer_start_is_the_ambient_start(label, rank):
             pairings = coroot_pairings(v, rs)
             assert [Fraction(c, w.denominator) for c in w.coords] == list(pairings)
             assert w.denominator == lcm(*(c.denominator for c in pairings))
-            assert w.eps == (None if off is None else v)
+            span_part = weight_of(w.coords, w.denominator, rs)
+            assert w.off == (lattice.sub(v, span_part) if v is mu and moved else None)
+            assert w.off is None or not any(coroot_pairings(w.off, rs))
         start, expected = library_start(lam, mu, rs), ambient_start(lam, mu, rs)
         assert (start is None) == (expected is None) == moved
         if start is not None:
@@ -265,6 +270,82 @@ def test_integer_start_is_the_ambient_start(label, rank):
             assert steps == a_steps
         seen.update(moved=moved, steps=bool(start and start.steps))
     assert seen["steps"] and (seen["moved"] or off is None)
+
+
+@pytest.mark.parametrize("label, rank", [("A", 3), ("A", 5), ("G2", 2), ("E6", 6), ("E7", 7)])
+def test_span_test_is_an_equality_of_off_parts(label, rank):
+    # lambda and mu moved off the root span by random ambient vectors, or not
+    # at all, and some of mu by lambda's own vector, or by it plus a root.
+    # off is linear, so lambda's off part is its vector's; walk_start is None
+    # exactly when the two off parts differ, and exactly when the Fraction
+    # solve finds lambda - mu off the span.
+    rs = build(label, rank)
+    rng = random.Random(f"off parts {label}{rank}")
+    dim = rs.ambient_dim
+
+    def complement():
+        if rng.random() < 0.25:
+            return zero_of(rs)
+        return tuple(Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(dim))
+
+    seen = Counter()
+    for _ in range(30):
+        lam = weight_of([rng.randint(-3, 3) for _ in range(rank)], rng.choice([1, 2]), rs)
+        mu = weight_of([rng.randint(-3, 3) for _ in range(rank)], rng.choice([1, 2]), rs)
+        u = complement()
+        shared = rng.random() < 0.5
+        v = u if shared else complement()
+        if shared and rng.random() < 0.5:
+            v = lattice.add(v, rng.choice(rs.positive_roots))
+        lam_weight, mu_weight = weight(lattice.add(lam, u), rs), weight(lattice.add(mu, v), rs)
+        assert lam_weight.off == weight(u, rs).off and mu_weight.off == weight(v, rs).off
+        differ = lam_weight.off != mu_weight.off
+        start = walk_start(lam_weight, mu_weight, rs)
+        expected = ambient_start(lattice.add(lam, u), lattice.add(mu, v), rs)
+        assert (start is None) == differ == (expected is None)
+        if shared:
+            assert not differ
+        seen.update(differ=differ, equal=not differ,
+                    moved_together=shared and lam_weight.off is not None)
+    assert seen["differ"] and seen["equal"] and seen["moved_together"]
+
+
+def test_walk_start_makes_no_pairing(monkeypatch):
+    # the span test compares the off parts the Weights carry: walk_start
+    # pairs nothing with the coroots and calls no lattice function
+    rs = build("E6", 6)
+    u = lattice.vector((0,) * 5 + (1, -1, 0))  # e6 - e7, off the span
+    theta = highest_root(rs)
+    moved, also_moved, plain, zero = (weight(lattice.add(theta, u), rs), weight(u, rs),
+                                      weight(theta, rs), weight(zero_of(rs), rs))
+
+    def refuse(*args):
+        raise AssertionError("walk_start converted a vector")
+
+    for name in ("coroot_pairings", "weight"):
+        monkeypatch.setattr(rootsystem, name, refuse)
+    for name in ("add", "sub", "dot", "scale"):
+        monkeypatch.setattr(lattice, name, refuse)
+    assert walk_start(moved, plain, rs) is None
+    assert walk_start(moved, also_moved, rs) == walk_start(plain, zero, rs)
+
+
+def test_weight_diagram_converts_lambda_once(monkeypatch):
+    # lambda's Weight is made once for the whole diagram, and each candidate
+    # is converted once
+    rs = build("B", 3)
+    calls = []
+    convert = multiplicity_module.weight
+
+    def counted(v, rs):
+        calls.append(v)
+        return convert(v, rs)
+
+    monkeypatch.setattr(multiplicity_module, "weight", counted)
+    entries = weight_diagram(rs.rho, rs)
+    assert sum(e.multiplicity for e in entries) == 2 ** len(rs.positive_roots)
+    assert calls.count(rs.rho) == 1
+    assert len(calls) == len(set(calls)) > len(entries)
 
 
 @pytest.mark.parametrize("label, rank", NINE_TYPES)
@@ -557,14 +638,45 @@ def test_weight_diagram_adjoint_dimensions():
     ("D", 5, 5, 16), ("G2", 2, 1, 7), ("F4", 4, 4, 26), ("E6", 6, 1, 27),
 ])
 def test_weight_diagram_matches_weyl_dimension(label, rank, i, dim):
+    # and the diagram's dominant weights and their multiplicities are Freudenthal's
     rs = build(label, rank)
     lam = fundamental_weight(rs, i)
-    shifted = lattice.add(lam, rs.rho)
-    weyl_dim = Fraction(1)
-    for alpha in rs.positive_roots:
-        weyl_dim *= lattice.dot(shifted, alpha) / lattice.dot(rs.rho, alpha)
-    assert weyl_dim == dim
-    assert sum(e.multiplicity for e in weight_diagram(lam, rs)) == dim
+    assert weyl_dimension(lam, rs) == dim
+    entries = weight_diagram(lam, rs)
+    assert sum(e.multiplicity for e in entries) == dim
+    assert {e.weight: e.multiplicity for e in entries
+            if is_dominant(e.weight, rs)} == freudenthal(lam, rs)
+
+
+def seeded_dominant(rs, rng, terms):
+    """A dominant integral weight: the sum of terms random fundamental weights."""
+    coords = [0] * rs.rank
+    for _ in range(terms):
+        coords[rng.randrange(rs.rank)] += 1
+    return weight_of(coords, 1, rs)
+
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES + [("A", 5), ("B", 5), ("D", 5)])
+def test_dominant_multiplicities_match_freudenthal(label, rank):
+    # seeded small dominant lambda, and theta alone in E7 and E8: at every
+    # dominant mu <= lambda, the alternating sum equals Freudenthal's
+    # recursion, and the multiplicities over the orbits of the dominant
+    # weights add up to the Weyl dimension
+    rs = build(label, rank)
+    rng = random.Random(f"freudenthal {label}{rank}")
+    if label in ("E7", "E8"):
+        lams = [highest_root(rs)]
+    else:
+        lams = [seeded_dominant(rs, rng, rng.randint(1, 1 if rank > 5 else 3))
+                for _ in range(3)] + [lattice.scale(2, highest_root(rs))]
+    for lam in lams:
+        dominant = freudenthal(lam, rs)
+        assert dominant[lam] == 1
+        assert all(is_dominant(mu, rs) for mu in dominant)
+        for mu, m in dominant.items():
+            assert multiplicity(lam, mu, rs) == m
+        assert sum(m * len(orbit(mu, rs)) for mu, m in dominant.items()) == \
+            weyl_dimension(lam, rs)
 
 
 def test_weight_diagram_sorted_and_positive():

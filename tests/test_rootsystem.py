@@ -10,6 +10,7 @@ import pytest
 from weylalt import lattice, rootsystem
 from weylalt.cli import type_b_weights_below_one
 from weylalt.errors import NotInRootSpan, UnsupportedRank
+from weylalt.multiplicity import weight_diagram
 from weylalt.rootsystem import (build, fundamental_weight, highest_root,
                                 is_dominant, is_dominant_integral,
                                 sum_of_simple_roots,
@@ -308,7 +309,7 @@ def test_coordinate_round_trips(label, rank):
 
     # vectors of the span moved off it by the complement, where there is
     # room: the complement pairs to 0 with every coroot, so the pairings stay
-    # and only the span test tells the two apart
+    # and only the Weight's off part, which is the shift, tells the two apart
     off_span = [lattice.vector(u) for u in OFF_SPAN.get(label, lambda r: [])(rank)]
     assert len(off_span) == dim - rank
     assert all(lattice.dot(u, alpha) == 0 for u in off_span for alpha in rs.simple_roots)
@@ -317,16 +318,17 @@ def test_coordinate_round_trips(label, rank):
         coords = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(rank)]
         v = combination(coords, rs.simple_roots, dim)
         shift = [Fraction(rng.choice([0, 0, 1, -2]), rng.choice([1, 2])) for _ in off_span]
-        w = lattice.add(v, combination(shift, off_span, dim))
+        off = combination(shift, off_span, dim)
+        w = lattice.add(v, off)
         pairings = rootsystem.coroot_pairings(w, rs)
         assert pairings == rootsystem.coroot_pairings(v, rs)
-        spans = rootsystem.in_root_span(w, rs)
-        assert spans == (w == v)
-        if spans:
-            ints, d, eps = rootsystem.weight(w, rs)
-            assert all(type(c) is int for c in ints + (d,))
-            assert eps == (w if off_span else None)
-            assert tuple(Fraction(c, d) for c in ints) == to_fundamental_coords(w, rs)
+        ints, d, found = rootsystem.weight(w, rs)
+        assert all(type(c) is int for c in ints + (d,))
+        assert tuple(Fraction(c, d) for c in ints) == pairings
+        assert found == (off if any(off) else None)
+        if found is None:
+            assert w == v
+            assert to_fundamental_coords(w, rs) == pairings
             assert to_simple_root_coords(w, rs) == tuple(coords)
         else:
             moved += 1
@@ -335,6 +337,20 @@ def test_coordinate_round_trips(label, rank):
             with pytest.raises(NotInRootSpan):
                 to_simple_root_coords(w, rs)
     assert (moved > 0) == bool(off_span)
+
+
+@pytest.mark.parametrize("label, rank", [("A", 2), ("A", 5), ("G2", 2), ("E6", 6), ("E7", 7)])
+@pytest.mark.parametrize("call", [weight_diagram, is_dominant, is_dominant_integral,
+                                  to_fundamental_coords, to_simple_root_coords])
+def test_off_span_lambda_is_refused(label, rank, call):
+    # theta moved off the span by the complement keeps theta's dominant
+    # integral pairings, so only the span test refuses it, as it did when
+    # each of these tested the span by its own pairing pass
+    rs = build(label, rank)
+    lam = lattice.add(highest_root(rs), lattice.vector(OFF_SPAN[label](rank)[0]))
+    assert rootsystem.coroot_pairings(lam, rs) == to_fundamental_coords(highest_root(rs), rs)
+    with pytest.raises(NotInRootSpan, match="is not in the span of the simple roots of"):
+        call(lam, rs)
 
 
 def test_dominance_predicates():
