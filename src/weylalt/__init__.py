@@ -6,8 +6,9 @@ partition function and its q-analog come from one table per RootSystem
 object, each row of cells over a few non-adjacent axes packed into one int
 by excess (height minus parts), so a row is only as long as its deepest
 cell. It starts from q^ht(x), the simple roots' share, and adds a knapsack
-pass per other positive root, one big-int update per row; a table whose
-estimated size passes the budget raises TableTooLarge before it is built.
+pass per other positive root, one big-int update per row that a query's
+cells depend on; a table whose estimated size passes the budget raises
+TableTooLarge before it is built.
 Multiplicities come from the alternating sum over the Weyl alternation set,
 which one integer walk of the weak order finds for every type.
 """

@@ -10,21 +10,24 @@ excess ht(x) - j, so a row is only as long as its deepest cell (see
 BoxTable). A coefficient's field is as wide as the largest count of
 decompositions of one excess (coefficient_bound). The fill starts every row
 at excess 0, the simple roots' closed form q^ht(x), and adds one
-unbounded-knapsack pass per other positive root, one big-int update per row.
+unbounded-knapsack pass per other positive root by increasing height, one
+big-int update per row, over only the rows the requested cells depend on,
+planned backward as bitmasks; the whole box is every row requested.
 table_layout fixes a table's width and packed axes and estimates its bytes
-once, from its row heights (height_bytes). A request outside the box builds
-a new table from that layout, unless the estimate passes TABLE_BUDGET_BYTES:
-then TableTooLarge is raised before anything is allocated.
+once, from its row heights (height_bytes). A query lays its table out
+before its walk (_layout_over), so an estimate past TABLE_BUDGET_BYTES
+raises TableTooLarge before anything is allocated, and fills it after the
+walk for the cells it reads (_table_over).
 partition_q_bruteforce, an exhaustive search with no memo, is kept apart from
 the table as the oracle of `verify oracle`; the tests also check the table
 against a recursion over a permuted root list (tests/oracles.py)."""
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from math import prod
 from operator import le, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HeightExceeded, NotInRootSpan, TableTooLarge
 from .lattice import Vector
@@ -232,8 +235,17 @@ def _repeat(block: int, width: int, count: int) -> int:
     return block * (((1 << (count * width)) - 1) // ((1 << width) - 1))
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask >= 0, in increasing order."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
+
+
 class BoxTable:
-    """P_q for every x in the box [0, top] of simple-root coordinates.
+    """P_q for the cells of the box [0, top] of simple-root coordinates whose
+    rows the table finished: every row, unless cells are given.
 
     A row holds the cells that share every coordinate outside the layout's
     packed axes Q, no non-simple root in the box having its support inside
@@ -247,13 +259,17 @@ class BoxTable:
     coefficient_bound, so no field carries. Row p sits at index
     sum(p_i * strides_i) and cell(x)*bits is sum(x_i * shifts_i); strides is 0
     on the packed axes and shifts on the others, so a whole point indexes its
-    row and its cell. Each lookup decodes its cell to a QPolynomial; nothing
-    changes after construction.
+    row and its cell. done is the bitmask of the final rows, the rows of the
+    given cells, or -1 (every bit) for the whole box. Each lookup decodes its
+    cell to a QPolynomial and refuses a row outside done; nothing changes
+    after construction. len() is the box's cell count either way.
     """
 
-    __slots__ = ("top", "strides", "shifts", "bits", "plane", "mask", "tallest", "rows")
+    __slots__ = ("layout", "top", "strides", "shifts", "bits", "plane", "mask", "tallest",
+                 "done", "rows")
 
-    def __init__(self, layout: Layout):
+    def __init__(self, layout: Layout, cells: Iterable[tuple[int, ...]] | None = None):
+        self.layout = layout
         top = self.top = layout.top
         self.bits, self.tallest = layout.bits, layout.tallest
         strides, shifts = [0] * len(top), [0] * len(top)
@@ -268,13 +284,43 @@ class BoxTable:
         self.strides, self.shifts = tuple(strides), tuple(shifts)
         self.plane = cell
         self.mask = (1 << self.bits) - 1
+        self.done = -1 if cells is None else sum({1 << sum(map(mul, x, self.strides))
+                                                   for x in cells})
         self.rows = self._fill(layout.roots, rows)
 
-    def _fill(self, roots, count: int) -> list[int]:
+    def _passes(self, roots, need: int) -> list[tuple[tuple[int, ...], int]]:
+        """The fill's passes, one per non-simple root beta by increasing
+        height, each with the bitmask of the rows it updates so that every
+        row of the bitmask need is final after the last.
+
+        A pass updates destination rows d, those with outer coordinates in
+        [beta, top], in increasing order, each from its source d - offset,
+        which the same pass may update first. So the rows that must be final
+        before a pass are those after it, closed under d -> d - offset on the
+        destination rows; planned backward from need, each closure is a few
+        shifts of one bitmask. Under need = -1 every destination row is
+        updated: the whole-box fill."""
+        top, strides = self.top, self.strides
+        outer = [i for i, stride in enumerate(strides) if stride]
+        plan = []
+        # planned from the last pass back
+        for beta in sorted((beta for beta in roots if sum(beta) > 1), key=sum)[::-1]:
+            offset = sum(map(mul, beta, strides))
+            destinations = 1
+            for i in reversed(outer):
+                destinations = (_repeat(destinations, strides[i], top[i] + 1 - beta[i])
+                                << beta[i] * strides[i])
+            closed = need | (need & destinations) >> offset
+            while closed != need:
+                need, closed = closed, closed | (closed & destinations) >> offset
+            plan.append((beta, need & destinations))
+        return plan[::-1]
+
+    def _fill(self, roots, length: int) -> list[int]:
         """Start every row at excess 0, the one decomposition of each cell
         into simple roots, then run one unbounded-knapsack pass per other
-        positive root beta: t[x] += t[x - beta] * q, one row at a time in
-        increasing row index.
+        positive root beta: t[x] += t[x - beta] * q over the rows _passes
+        plans for done, in increasing row index.
 
         A non-simple root is nonzero on some axis outside the packed ones, so
         every source row lies before its destination row and is final in
@@ -289,21 +335,10 @@ class BoxTable:
         height = sum(top)
         planes = height - -(-height // self.tallest) + 1
         ones = _repeat(1, plane, planes)  # a 1 in the lowest bit of every plane
-        rows = [_repeat(1, bits, plane // bits)] * count
-        outer = [i for i, stride in enumerate(strides) if stride]
+        rows = [_repeat(1, bits, plane // bits)] * length
         packed = [i for i, shift in enumerate(shifts) if shift]
-        for beta in roots:
-            if sum(beta) == 1:
-                continue
+        for beta, update in self._passes(roots, self.done):
             offset = sum(map(mul, beta, strides))
-            # the destination rows, outer coordinates in [beta, top], as runs
-            # along the last outer axis, whose stride is 1
-            last = outer[-1]
-            starts = [beta[last]]
-            for i in outer[:-1]:
-                starts = [s + x * strides[i]
-                          for s in starts for x in range(beta[i], top[i] + 1)]
-            run = top[last] - beta[last] + 1
             within = sum(map(mul, beta, shifts))
             shift = (sum(beta) - 1) * plane + within
             if within:
@@ -312,23 +347,30 @@ class BoxTable:
                     cells = (_repeat(cells, shifts[q], top[q] + 1 - beta[q])
                              << beta[q] * shifts[q])
                 mask = cells * ones
-                for lo in starts:
-                    for d in range(lo, lo + run):
-                        rows[d] += (rows[d - offset] << shift) & mask
+                for d in _set_bits(update):
+                    rows[d] += (rows[d - offset] << shift) & mask
             else:
-                for lo in starts:
-                    for d in range(lo, lo + run):
-                        rows[d] += rows[d - offset] << shift
+                for d in _set_bits(update):
+                    rows[d] += rows[d - offset] << shift
         return rows
 
     def __len__(self) -> int:
         return len(self.rows) * (self.plane // self.bits)
 
+    def holds(self, cells: Iterable[tuple[int, ...]]) -> bool:
+        """Whether the row of every cell, each inside the box, is final."""
+        strides, done = self.strides, self.done
+        return all(done >> sum(map(mul, x, strides)) & 1 for x in cells)
+
     def lookup(self, coords: tuple[int, ...]) -> QPolynomial:
         """P_q(coords) for coords inside the box: the planes upward from the
-        cell, coefficient ht(coords) down to the fewest parts possible."""
-        row = self.rows[sum(map(mul, coords, self.strides))]
-        packed = row >> sum(map(mul, coords, self.shifts))
+        cell, coefficient ht(coords) down to the fewest parts possible.
+        LookupError when the cell's row is not final."""
+        index = sum(map(mul, coords, self.strides))
+        if not self.done >> index & 1:
+            raise LookupError(f"the row of {list(coords)} in the P_q table over "
+                              f"{list(self.top)} was not filled")
+        packed = self.rows[index] >> sum(map(mul, coords, self.shifts))
         height = sum(coords)
         mask, plane = self.mask, self.plane
         coeffs = [0] * (height + 1)
@@ -434,32 +476,45 @@ def table_layout(top: tuple[int, ...], roots: Sequence[tuple[int, ...]]) -> Layo
 _DEFAULT_CACHES: dict[RootSystem, BoxTable] = {}
 
 
-def _table_over(request: tuple[int, ...], rs: RootSystem) -> BoxTable:
-    """rs's P_q table, first rebuilt when it does not cover [0, request]:
-    over the coordinatewise union with the old box when that has no more
-    cells than the two together and fits TABLE_BUDGET_BYTES, else over the
-    request alone, so skewed requests do not inflate the box. Over the
-    budget, TableTooLarge is raised before anything is allocated. The table
-    is replaced as one dict entry and never changed in place, so concurrent
-    callers at worst build the same table twice."""
+def _layout_over(request: tuple[int, ...], rs: RootSystem) -> Layout:
+    """The layout of rs's table once it covers [0, request]: the cached
+    table's when it does. Otherwise a new box, the coordinatewise union with
+    the old one when that has no more cells than the two together and fits
+    TABLE_BUDGET_BYTES, else the request alone, so skewed requests do not
+    inflate the box. Over the budget, TableTooLarge is raised before
+    anything is allocated."""
     table = _DEFAULT_CACHES.get(rs)
-    if table is None or not all(map(le, request, table.top)):
-        roots = rs.positive_root_alpha_coords
+    if table is not None and all(map(le, request, table.top)):
+        return table.layout
+    roots = rs.positive_root_alpha_coords
+    top = request
+    if table is not None:
+        union = tuple(map(max, table.top, request))
+        if prod(t + 1 for t in union) <= len(table) + prod(c + 1 for c in request):
+            top = union
+    layout = table_layout(top, roots)
+    if layout.size > TABLE_BUDGET_BYTES and top != request:
         top = request
-        if table is not None:
-            union = tuple(map(max, table.top, request))
-            if prod(t + 1 for t in union) <= len(table) + prod(c + 1 for c in request):
-                top = union
         layout = table_layout(top, roots)
-        if layout.size > TABLE_BUDGET_BYTES and top != request:
-            top = request
-            layout = table_layout(top, roots)
-        if layout.size > TABLE_BUDGET_BYTES:
-            size = f"{'an estimated' if layout.bits else 'at least'} {layout.size:,} bytes"
-            raise TableTooLarge(
-                f"P_q table over the box {list(top)} has {prod(t + 1 for t in top):,} "
-                f"cells, {size}, over the budget of {TABLE_BUDGET_BYTES:,} bytes")
-        table = _DEFAULT_CACHES[rs] = BoxTable(layout)
+    if layout.size > TABLE_BUDGET_BYTES:
+        size = f"{'an estimated' if layout.bits else 'at least'} {layout.size:,} bytes"
+        raise TableTooLarge(
+            f"P_q table over the box {list(top)} has {prod(t + 1 for t in top):,} "
+            f"cells, {size}, over the budget of {TABLE_BUDGET_BYTES:,} bytes")
+    return layout
+
+
+def _table_over(layout: Layout, cells: list[tuple[int, ...]], rs: RootSystem) -> BoxTable:
+    """rs's table under layout (from _layout_over) with the rows of cells,
+    inside its box, final: the cached table when it has that layout and
+    holds them, else a new one, filled for those rows when it is rs's first
+    and for the whole box otherwise, so a process pays at most one fill
+    beyond the whole-box ones. The table is replaced as one dict entry,
+    never changed in place, so concurrent callers at worst build the same
+    table twice."""
+    table = _DEFAULT_CACHES.get(rs)
+    if table is None or table.layout is not layout or not table.holds(cells):
+        table = _DEFAULT_CACHES[rs] = BoxTable(layout, cells if table is None else None)
     return table
 
 
@@ -470,7 +525,7 @@ def partition_q_alpha(coords: Sequence[int], rs: RootSystem) -> QPolynomial:
     if any(c != int(c) or c < 0 for c in coords):
         return QPolynomial.zero()
     coords = tuple(map(int, coords))
-    return _table_over(coords, rs).lookup(coords)
+    return _table_over(_layout_over(coords, rs), [coords], rs).lookup(coords)
 
 
 def partition_q(xi: Vector, rs: RootSystem) -> QPolynomial:

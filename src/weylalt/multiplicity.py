@@ -24,8 +24,9 @@ rootsystem.Weight values (integer fundamental coordinates over a denominator
 and the part off the root span). Equal off parts are its span test; it
 reflects lambda+rho to nu once, so q_multiplicity reads a zero of nu off the
 start before any walk. Each limit bounds its own work: the cap counts the
-walk's nodes, not |W|, and the one P_q table request per query is sized from
-the start before the walk, so an over-budget table is refused before it.
+walk's nodes, not |W|, and a query's P_q table is laid out from the start
+and held to its budget before the walk, so an over-budget table is refused
+before it. The table is filled after the walk, for the survivors' rows.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterable, NamedTuple
 from . import lattice
 from .combinatorics import binomial, nonconsecutive_subsets
 from .errors import CapExceeded, NotInRootSpan
-from .kostant import QPolynomial, _table_over
+from .kostant import QPolynomial, _layout_over, _table_over
 from .lattice import Vector
 from .rootsystem import RootSystem, Weight, weight
 from .weyl import WeylElement
@@ -210,14 +211,19 @@ def multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
 def start_terms(start: Start | None, rs: RootSystem, cap: int = DEFAULT_CAP
                 ) -> list[tuple[WeylElement, QPolynomial]]:
     """Per-element P_q values over the alternation set of a walk start,
-    sign not applied, by length and then word. The table is requested before
-    the walk, over [0, start xi / scale]: xi only falls along the walk."""
+    sign not applied, by length and then word. The table is laid out and
+    held to its budget before the walk, over [0, start xi / scale]: xi only
+    falls along the walk. It is filled after the walk, for the rows of the
+    survivors' xi; a walk with no survivor fills nothing."""
     if not _may_survive(start):
         return []
     xi, _, _, scale = start
-    table = _table_over(tuple(c // scale for c in xi), rs)
-    return sorted(((element, table.lookup(coords))
-                   for element, coords in _survivor_terms(start, rs, cap)),
+    layout = _layout_over(tuple(c // scale for c in xi), rs)
+    terms = _survivor_terms(start, rs, cap)
+    if not terms:
+        return []
+    table = _table_over(layout, [coords for _, coords in terms], rs)
+    return sorted(((element, table.lookup(coords)) for element, coords in terms),
                   key=lambda pair: (pair[0].length, pair[0].word))
 
 
@@ -262,6 +268,36 @@ def weight_diagram(lam: Vector, rs: RootSystem,
             for vector, m in sorted(found.items()) if m > 0]
 
 
+def _commuting_indices(indices: tuple[int, ...], hi: int) -> set[int]:
+    """indices as a set; ValueError unless they lie inside {2..hi} with no
+    two consecutive, so that their simple reflections commute."""
+    index_set = set(indices)
+    if not index_set <= set(range(2, hi + 1)):
+        raise ValueError(f"indices {indices} not inside 2..{hi}")
+    if any(i + 1 in index_set for i in index_set):
+        raise ValueError(f"indices {indices} contain a consecutive pair")
+    return index_set
+
+
+def predicted_alternation_set_A(r: int) -> set[tuple[int, ...]]:
+    """Alternation set of (theta, 0) for A_r as reduced words: products of
+    commuting s_i over nonconsecutive index sets inside {2..r-1}. An
+    observation, which the tests match against the walk for r = 1..9, not a
+    proof."""
+    if r < 1:
+        raise ValueError(f"type A needs rank >= 1, got {r}")
+    return set(nonconsecutive_subsets(2, r - 1))
+
+
+def predicted_pq_A(indices: tuple[int, ...], r: int) -> QPolynomial:
+    """P_q(sigma(theta+rho) - rho) for sigma the commuting product over a
+    nonconsecutive index set inside {2..r-1}: q^(1+k) (1+q)^(r-1-2k), k the
+    number of reflections, as B's form without s_r. An observation, which
+    the tests match against the table for r = 1..9, not a proof."""
+    k = len(_commuting_indices(indices, r - 1))
+    return QPolynomial((1, 1)) ** (r - 1 - 2 * k) * QPolynomial.monomial(1 + k)
+
+
 def predicted_alternation_set_B(r: int) -> set[tuple[int, ...]]:
     """Alternation set of (omega_1, 0) for B_r as reduced words: products of
     commuting s_i over nonconsecutive index sets inside {2..r}."""
@@ -277,11 +313,7 @@ def predicted_pq_B(indices: tuple[int, ...], r: int) -> QPolynomial:
     k counts the reflections other than s_r: q^(1+k) (1+q)^(r-1-2k) without
     s_r, and q^(1+k) (1+q)^(r-2-2k) with it.
     """
-    index_set = set(indices)
-    if index_set and not index_set <= set(range(2, r + 1)):
-        raise ValueError(f"indices {indices} not inside 2..{r}")
-    if any(i + 1 in index_set for i in index_set):
-        raise ValueError(f"indices {indices} contain a consecutive pair")
+    index_set = _commuting_indices(indices, r)
     has_sr = r in index_set
     k = len(index_set) - (1 if has_sr else 0)
     exponent = (r - 2 - 2 * k) if has_sr else (r - 1 - 2 * k)

@@ -292,7 +292,7 @@ def test_table_budget_is_checked_before_the_walk(monkeypatch, capsys):
 def test_exit_table_budget(monkeypatch, capsys):
     # lam = 1000 theta asks for the box (1000, 1000, 1000): 1,003,003,001
     # cells, far over the budget, so the run must stop before any table fill
-    def no_fill(layout):
+    def no_fill(layout, cells=None):
         raise AssertionError(f"an over-budget table over {layout.top} was built")
 
     monkeypatch.setattr(kostant, "BoxTable", no_fill)

@@ -13,7 +13,7 @@ from weylalt import kostant, lattice
 from weylalt.errors import HeightExceeded, TableTooLarge
 from weylalt.kostant import (QPolynomial, partition, partition_q,
                              partition_q_alpha, partition_q_bruteforce)
-from weylalt.multiplicity import _survivor_terms
+from weylalt.multiplicity import _survivor_terms, q_multiplicity_terms
 from weylalt.rootsystem import (TYPES, build, fundamental_weight, highest_root,
                                 to_simple_root_coords)
 from weylalt.weyl import group_order
@@ -232,12 +232,20 @@ def test_box_table_matches_oracles(label, rank, monkeypatch):
     high = 3 if rank <= 4 else 2
     top = tuple(rng.randint(1, high) for _ in range(rank))
     assert_matches_oracles(rs, top, partition_q_alpha(top, rs))
-    table = kostant._DEFAULT_CACHES[rs]
-    assert table.top == top and len(table) == prod(t + 1 for t in top)
-    # hits inside the built box leave it as it is
-    for _ in range(12):
-        x = tuple(rng.randint(0, t) for t in top)
+    first = kostant._DEFAULT_CACHES[rs]
+    assert first.top == top and len(first) == prod(t + 1 for t in top)
+    # the first table finished only the top cell's row; a hit on another row
+    # of the box replaces it by the whole box of the same layout, and hits
+    # inside the whole box leave it as it is
+    hits = [tuple(rng.randint(0, t) for t in top) for _ in range(12)]
+    for x in hits:
         assert_matches_oracles(rs, x, partition_q_alpha(x, rs))
+    table = kostant._DEFAULT_CACHES[rs]
+    assert table.layout is first.layout
+    assert (table is first) == first.holds(hits)
+    assert table is first or table.done == -1
+    for x in hits:
+        partition_q_alpha(x, rs)
     assert kostant._DEFAULT_CACHES[rs] is table
     # a slightly larger request grows the box to the union
     grown = top[:-1] + (top[-1] + 1,)
@@ -278,6 +286,107 @@ def test_box_table_on_unpruned_b2_terms(monkeypatch):
                 assert_matches_oracles(rs, coords, partition_q_alpha(coords, rs))
                 checked += 1
     assert checked > 0
+
+
+# === tables filled for the rows a query reads ===
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
+def test_partial_table_matches_the_whole_box(label, rank):
+    # a table asked for a few random cells holds their rows: each cell of a
+    # demanded row equals the whole-box table's value (and the recursion's
+    # up to height 8), and a lookup in any other row is refused
+    rs = build(label, rank)
+    roots = rs.positive_root_alpha_coords
+    rng = random.Random(f"partial {label}{rank}")
+    high = 3 if rank <= 4 else 2
+    refused = 0
+    for _ in range(3):
+        top = tuple(rng.randint(1, high) for _ in range(rank))
+        layout = kostant.table_layout(top, roots)
+        whole = kostant.BoxTable(layout)
+        cells = [tuple(rng.randint(0, t) for t in top) for _ in range(rng.randint(1, 2))]
+        partial = kostant.BoxTable(layout, cells)
+        assert len(partial) == len(whole) == prod(t + 1 for t in top)
+        assert whole.done == -1 and partial.holds(cells)
+        for x in cells:
+            value = partial.lookup(x)
+            assert value == whole.lookup(x), x
+            if sum(x) <= 8:
+                assert value == recursion_oracle(rs, x), x
+        for x in itertools.product(*(range(t + 1) for t in top)):
+            if partial.done >> sum(map(mul, x, partial.strides)) & 1:
+                assert partial.lookup(x) == whole.lookup(x), x
+            else:
+                refused += 1
+                assert not partial.holds([x])
+                with pytest.raises(LookupError):
+                    partial.lookup(x)
+    assert refused
+
+
+@pytest.mark.parametrize("label, rank, k", [("B", 3, 2), ("C", 3, 2), ("G2", 2, 2),
+                                            ("E6", 6, 1)])
+def test_later_queries_replace_the_first_table_whole(label, rank, k, monkeypatch):
+    # mult at k theta, then at mu = k theta - c for random c inside its box:
+    # the first table holds the first query's rows alone, the first later
+    # query that reads another row gets a whole-box table of the same layout
+    # as a new dict entry, the first table is left as it was, and every
+    # answer equals the whole-box table's
+    rs, top = theta_box(label, rank, k)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    whole = box_table(top, rs.positive_root_alpha_coords)
+    lam = lattice.scale(k, highest_root(rs))
+    rng = random.Random(f"later {label}{rank}")
+    shifts = [top] + [tuple(rng.randint(0, t) for t in top) for _ in range(8)]
+    tables = []
+    for c in shifts:
+        mu = lattice.sub(lam, combo(rs, c))
+        cells = {element: coords for element, coords
+                 in _survivor_terms(ambient_start(lam, mu, rs), rs, group_order(rs))}
+        terms = q_multiplicity_terms(lam, mu, rs)
+        assert {element: value for element, value in terms} == \
+            {element: whole.lookup(coords) for element, coords in cells.items()}
+        table = kostant._DEFAULT_CACHES[rs]
+        if not tables or table is not tables[-1][0]:
+            if tables:  # the query read a row the first table refuses
+                missing = [x for x in cells.values() if not tables[0][0].holds([x])]
+                with pytest.raises(LookupError):
+                    tables[0][0].lookup(missing[0])
+            tables.append((table, table.done, list(table.rows)))
+    (first, done, rows), (second, _, _) = tables
+    assert first.done == done != -1
+    assert all(a is b for a, b in zip(first.rows, rows)) and len(first.rows) == len(rows)
+    assert second.done == -1 and second.layout is first.layout
+
+
+def planned_updates(table, need):
+    return sum(bin(rows).count("1") for _, rows in table._passes(table.layout.roots, need))
+
+
+# the row updates of a fill over the whole box and for the survivors' rows
+PLANNED = {("B", 4, 6): (10861, 4551), ("A", 5, 6): (2460, 1171),
+           ("C", 8, 2): (169934, 84201)}
+
+
+@pytest.mark.parametrize("label, rank, k", list(PLANNED))
+def test_survivor_rows_plan_fewer_updates(label, rank, k):
+    # a count of planned work, not a timing: the survivors of (k theta, 0)
+    # need fewer row updates than the whole box, and the plan for every row
+    # is each pass over its destination rows, the rows whose coordinates
+    # outside the packed axes are at least beta's
+    rs, top = theta_box(label, rank, k)
+    start = ambient_start(lattice.scale(k, highest_root(rs)), lattice.zeros(rs.ambient_dim), rs)
+    cells = [coords for _, coords in _survivor_terms(start, rs, 10 ** 6)]
+    table = kostant.BoxTable(kostant.table_layout(top, rs.positive_root_alpha_coords), cells)
+    outer = [i for i, stride in enumerate(table.strides) if stride]
+    every = table._passes(table.layout.roots, -1)
+    for beta, rows in every:
+        assert bin(rows).count("1") == prod(top[i] - beta[i] + 1 for i in outer)
+    assert sorted(beta for beta, _ in every) == \
+        sorted(beta for beta in table.layout.roots if sum(beta) > 1)
+    whole, survivors = PLANNED[label, rank, k]
+    assert planned_updates(table, -1) == whole
+    assert planned_updates(table, table.done) == survivors < whole
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3),
@@ -520,7 +629,7 @@ def test_table_budget_at_multiples_of_theta(monkeypatch, label, rank, k, fits):
     # (14,189,175 cells) and A3 at 1000 theta; BoxTable is stubbed, so
     # nothing is filled
     class Unfilled:
-        def __init__(self, layout):
+        def __init__(self, layout, cells=None):
             self.top = layout.top
 
         def lookup(self, coords):
@@ -530,11 +639,11 @@ def test_table_budget_at_multiples_of_theta(monkeypatch, label, rank, k, fits):
     monkeypatch.setitem(kostant._DEFAULT_CACHES, rs, None)
     monkeypatch.setattr(kostant, "BoxTable", Unfilled)
     if fits:
-        kostant._table_over(top, rs)
+        kostant._table_over(kostant._layout_over(top, rs), [top], rs)
         assert kostant._DEFAULT_CACHES[rs].top == top
     else:
         with pytest.raises(TableTooLarge):
-            kostant._table_over(top, rs)
+            kostant._layout_over(top, rs)
         assert kostant._DEFAULT_CACHES[rs] is None
 
 
@@ -632,9 +741,9 @@ def test_lookup_estimates_each_box_once(monkeypatch):
         built.append(layout)
         return layout
 
-    def from_the_estimate(layout):
+    def from_the_estimate(layout, cells=None):
         assert layout is built[-1]
-        return box_table(layout)
+        return box_table(layout, cells)
 
     monkeypatch.setattr(kostant, "table_layout", recorded)
     monkeypatch.setattr(kostant, "BoxTable", from_the_estimate)

@@ -10,13 +10,15 @@ import pytest
 
 from weylalt import kostant, lattice, rootsystem
 from weylalt.cli import parse_weight
-from weylalt.combinatorics import lucas, nonconsecutive_subsets
+from weylalt.combinatorics import lucas
 from weylalt.errors import CapExceeded, NotInRootSpan, TableTooLarge
 from weylalt.kostant import QPolynomial, partition_q
 from weylalt.multiplicity import (_survivor_terms, alternating_sum,
                                   alternation_set, multiplicity,
+                                  predicted_alternation_set_A,
                                   predicted_alternation_set_B,
-                                  predicted_count_by_length_B, predicted_pq_B,
+                                  predicted_count_by_length_B, predicted_pq_A,
+                                  predicted_pq_B,
                                   q_multiplicity, q_multiplicity_terms,
                                   walk_start, weight_diagram)
 from weylalt.rootsystem import (build, coroot_pairings, fundamental_weight,
@@ -586,6 +588,17 @@ def test_alternation_set_requests_no_table(monkeypatch):
     assert len(aset) == 26956
 
 
+def test_walk_with_no_survivor_fills_no_table(monkeypatch):
+    # the table is laid out before the walk and filled after it, for the
+    # survivors' rows; with none there is nothing to fill
+    rs = build("B", 3)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    monkeypatch.setattr(multiplicity_module, "_survivor_terms", lambda *args: [])
+    monkeypatch.setattr(kostant, "BoxTable", refuse)
+    assert q_multiplicity_terms(highest_root(rs), zero_of(rs), rs) == []
+    assert rs not in kostant._DEFAULT_CACHES
+
+
 def test_off_lattice_start_neither_walks_nor_builds_a_table(monkeypatch):
     # every step takes a multiple of det(C) = 2 off xi, and B8's w8 has
     # xi = (1, 2, ..., 8) over the scale 2, so no node can survive
@@ -714,6 +727,27 @@ def test_predicted_alternation_set():
         predicted_alternation_set_B(1)
 
 
+def test_predicted_alternation_set_a():
+    assert predicted_alternation_set_A(1) == predicted_alternation_set_A(2) == {()}
+    assert predicted_alternation_set_A(5) == {(), (2,), (3,), (4,), (2, 4)}
+    assert len(predicted_alternation_set_A(9)) == 34  # F_9
+    with pytest.raises(ValueError):
+        predicted_alternation_set_A(0)
+
+
+def test_predicted_pq_a_values():
+    assert predicted_pq_A((), 1) == QPolynomial.monomial(1)
+    assert predicted_pq_A((), 3) == QPolynomial((0, 1, 2, 1))  # q(1+q)^2
+    assert predicted_pq_A((2,), 3) == QPolynomial.monomial(2)
+    assert predicted_pq_A((2, 4), 5) == QPolynomial.monomial(3)
+    with pytest.raises(ValueError):
+        predicted_pq_A((2, 3), 5)  # consecutive
+    with pytest.raises(ValueError):
+        predicted_pq_A((1,), 5)  # outside 2..r-1
+    with pytest.raises(ValueError):
+        predicted_pq_A((5,), 5)
+
+
 def test_predicted_pq_values():
     assert predicted_pq_B((), 3) == QPolynomial((0, 1, 2, 1))  # q(1+q)^2
     assert predicted_pq_B((2,), 3) == QPolynomial.monomial(2)
@@ -764,18 +798,17 @@ def test_sum_of_simple_roots_alternation_counts(label, rank, expected):
     assert q_multiplicity(lam, zero_of(rs), rs) == QPolynomial.zero()
 
 
-@pytest.mark.parametrize("rank", range(2, 10))
+@pytest.mark.parametrize("rank", range(1, 10))
 def test_highest_root_alternation_set_in_type_a(rank):
-    # A_r at theta: the products of commuting s_i over nonconsecutive index
-    # sets inside {2..r-1}, F_r of them, and a word of length k has
-    # P_q = q^(1+k) (1+q)^(r-1-2k); at the default cap
+    # A_r at theta, at the default cap: the observed family, products of
+    # commuting s_i over nonconsecutive index sets inside {2..r-1}, F_r of
+    # them for r >= 2, and a word of length k has P_q = q^(1+k) (1+q)^(r-1-2k)
     rs = build("A", rank)
     terms = q_multiplicity_terms(highest_root(rs), zero_of(rs), rs)
     assert sorted(element.word for element, _ in terms) == \
-        sorted(nonconsecutive_subsets(2, rank - 1))
+        sorted(predicted_alternation_set_A(rank))
     for element, pq in terms:
-        k = element.length
-        assert pq == QPolynomial((1, 1)) ** (rank - 1 - 2 * k) * QPolynomial.monomial(1 + k)
+        assert pq == predicted_pq_A(element.word, rank)
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
@@ -821,6 +854,7 @@ def test_singular_lambda_plus_rho_needs_no_walk(label, monkeypatch):
                                                                "E8": 30}[label]
 
     for module in (multiplicity_module, kostant):
+        monkeypatch.setattr(module, "_layout_over", refuse)
         monkeypatch.setattr(module, "_table_over", refuse)
     monkeypatch.setattr(multiplicity_module, "_survivor_terms", refuse)
     for lam, mu in cases:
