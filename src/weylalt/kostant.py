@@ -9,10 +9,10 @@ packed into a single int, coefficient by coefficient in planes of equal
 excess ht(x) - j, so a row is only as long as its deepest cell (see
 BoxTable). A coefficient's field is as wide as the largest count of
 decompositions of one excess (coefficient_bound). The fill starts every row
-at excess 0, the simple roots' closed form q^ht(x), and adds one
-unbounded-knapsack pass per other positive root by increasing height, one
-big-int update per row, over only the rows the requested cells depend on,
-planned backward as bitmasks; the whole box is every row requested.
+at excess 0, the simple roots' closed form q^ht(x), and then only adds, as
+BoxTable._passes lists each pass whole: one unbounded-knapsack pass per
+other positive root by increasing height, one big-int update per row, over
+only the rows the requested cells depend on; the whole box is every row.
 table_layout fixes a table's width and packed axes and estimates its bytes
 once, from its row heights (height_bytes). A query lays its table out
 before its walk (_layout_over), so an estimate past TABLE_BUDGET_BYTES
@@ -235,6 +235,16 @@ def _repeat(block: int, width: int, count: int) -> int:
     return block * (((1 << (count * width)) - 1) // ((1 << width) - 1))
 
 
+def _span(block: int, beta: Sequence[int], top: Sequence[int], axes: Sequence[int],
+          steps: Sequence[int]) -> int:
+    """block at every position sum(x_i * steps_i) with beta_i <= x_i <= top_i
+    on each of axes and x_i = 0 elsewhere, the axes in increasing order with
+    steps decreasing along them, each at least the span of the ones after."""
+    for i in reversed(axes):
+        block = _repeat(block, steps[i], top[i] + 1 - beta[i]) << beta[i] * steps[i]
+    return block
+
+
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -260,9 +270,10 @@ class BoxTable:
     sum(p_i * strides_i) and cell(x)*bits is sum(x_i * shifts_i); strides is 0
     on the packed axes and shifts on the others, so a whole point indexes its
     row and its cell. done is the bitmask of the final rows, the rows of the
-    given cells, or -1 (every bit) for the whole box. Each lookup decodes its
-    cell to a QPolynomial and refuses a row outside done; nothing changes
-    after construction. len() is the box's cell count either way.
+    given cells, or -1 (every bit) for the whole box; _passes plans the fill
+    for done from this layout alone. Each lookup decodes its cell to a
+    QPolynomial and refuses a row outside done; nothing changes after
+    construction. len() is the box's cell count either way.
     """
 
     __slots__ = ("layout", "top", "strides", "shifts", "bits", "plane", "mask", "tallest",
@@ -286,12 +297,13 @@ class BoxTable:
         self.mask = (1 << self.bits) - 1
         self.done = -1 if cells is None else sum({1 << sum(map(mul, x, self.strides))
                                                    for x in cells})
-        self.rows = self._fill(layout.roots, rows)
+        self.rows = self._fill(rows)
 
-    def _passes(self, roots, need: int) -> list[tuple[tuple[int, ...], int]]:
-        """The fill's passes, one per non-simple root beta by increasing
-        height, each with the bitmask of the rows it updates so that every
-        row of the bitmask need is final after the last.
+    def _passes(self, need: int) -> list[tuple[tuple[int, ...], int, int, int, int]]:
+        """The fill, one (beta, offset, shift, mask, rows) per non-simple root
+        beta of the layout by increasing height, that leaves every row of the
+        bitmask need final: rows[d] += rows[d - offset] << shift, ANDed with
+        mask unless it is 0, for each set bit d of rows.
 
         A pass updates destination rows d, those with outer coordinates in
         [beta, top], in increasing order, each from its source d - offset,
@@ -299,54 +311,40 @@ class BoxTable:
         before a pass are those after it, closed under d -> d - offset on the
         destination rows; planned backward from need, each closure is a few
         shifts of one bitmask. Under need = -1 every destination row is
-        updated: the whole-box fill."""
-        top, strides = self.top, self.strides
+        updated: the whole-box fill. One more part raises a coefficient's
+        excess by ht(beta) - 1, so within a row the shift is that many planes
+        plus beta's packed coordinates in cells; when those are not all 0,
+        mask keeps, in every plane, the cells x with x_q >= beta_q on each
+        packed axis q, dropping the sources that wrap from elsewhere in the
+        row and the planes past the last."""
+        top, strides, shifts, plane = self.top, self.strides, self.shifts, self.plane
         outer = [i for i, stride in enumerate(strides) if stride]
-        plan = []
-        # planned from the last pass back
-        for beta in sorted((beta for beta in roots if sum(beta) > 1), key=sum)[::-1]:
+        packed = [i for i, shift in enumerate(shifts) if shift]
+        height = sum(top)
+        ones = _repeat(1, plane, height - -(-height // self.tallest) + 1)  # 1 per plane
+        plan, roots = [], sorted((b for b in self.layout.roots if sum(b) > 1), key=sum)
+        for beta in roots[::-1]:  # planned from the last pass back
             offset = sum(map(mul, beta, strides))
-            destinations = 1
-            for i in reversed(outer):
-                destinations = (_repeat(destinations, strides[i], top[i] + 1 - beta[i])
-                                << beta[i] * strides[i])
+            within = sum(map(mul, beta, shifts))
+            mask = within and _span(self.mask, beta, top, packed, shifts) * ones
+            destinations = _span(1, beta, top, outer, strides)
             closed = need | (need & destinations) >> offset
             while closed != need:
                 need, closed = closed, closed | (closed & destinations) >> offset
-            plan.append((beta, need & destinations))
+            plan.append((beta, offset, (sum(beta) - 1) * plane + within, mask,
+                         need & destinations))
         return plan[::-1]
 
-    def _fill(self, roots, length: int) -> list[int]:
+    def _fill(self, length: int) -> list[int]:
         """Start every row at excess 0, the one decomposition of each cell
-        into simple roots, then run one unbounded-knapsack pass per other
-        positive root beta: t[x] += t[x - beta] * q over the rows _passes
-        plans for done, in increasing row index.
-
-        A non-simple root is nonzero on some axis outside the packed ones, so
-        every source row lies before its destination row and is final in
-        this pass when it is read. One more part keeps the excess of a
-        coefficient up by ht(beta) - 1, so within a row the pass is one shift
-        by that many planes plus beta's packed coordinates in cells; when
-        those are not all 0, the mask drops the cells x with x_q < beta_q on
-        a packed axis q, whose shifted sources wrap from elsewhere in the
-        row, and the planes past the last."""
-        top, strides, shifts, bits, plane = (self.top, self.strides, self.shifts,
-                                             self.bits, self.plane)
-        height = sum(top)
-        planes = height - -(-height // self.tallest) + 1
-        ones = _repeat(1, plane, planes)  # a 1 in the lowest bit of every plane
-        rows = [_repeat(1, bits, plane // bits)] * length
-        packed = [i for i, shift in enumerate(shifts) if shift]
-        for beta, update in self._passes(roots, self.done):
-            offset = sum(map(mul, beta, strides))
-            within = sum(map(mul, beta, shifts))
-            shift = (sum(beta) - 1) * plane + within
-            if within:
-                cells = self.mask
-                for q in reversed(packed):
-                    cells = (_repeat(cells, shifts[q], top[q] + 1 - beta[q])
-                             << beta[q] * shifts[q])
-                mask = cells * ones
+        into simple roots, then run the passes _passes plans for done: one
+        unbounded-knapsack pass t[x] += t[x - beta] * q per other positive
+        root beta. A non-simple root is nonzero on some axis outside the
+        packed ones, so every source row lies before its destination row and
+        is final in this pass when it is read."""
+        rows = [_repeat(1, self.bits, self.plane // self.bits)] * length
+        for _, offset, shift, mask, update in self._passes(self.done):
+            if mask:
                 for d in _set_bits(update):
                     rows[d] += (rows[d - offset] << shift) & mask
             else:

@@ -360,12 +360,13 @@ def test_later_queries_replace_the_first_table_whole(label, rank, k, monkeypatch
 
 
 def planned_updates(table, need):
-    return sum(bin(rows).count("1") for _, rows in table._passes(table.layout.roots, need))
+    return sum(bin(rows).count("1") for *_, rows in table._passes(need))
 
 
 # the row updates of a fill over the whole box and for the survivors' rows
 PLANNED = {("B", 4, 6): (10861, 4551), ("A", 5, 6): (2460, 1171),
-           ("C", 8, 2): (169934, 84201)}
+           ("C", 8, 2): (169934, 84201), ("B", 8, 2): (185990, 89933),
+           ("E7", 7, 2): (88946, 58541), ("E8", 8, 1): (181540, 106294)}
 
 
 @pytest.mark.parametrize("label, rank, k", list(PLANNED))
@@ -379,14 +380,38 @@ def test_survivor_rows_plan_fewer_updates(label, rank, k):
     cells = [coords for _, coords in _survivor_terms(start, rs, 10 ** 6)]
     table = kostant.BoxTable(kostant.table_layout(top, rs.positive_root_alpha_coords), cells)
     outer = [i for i, stride in enumerate(table.strides) if stride]
-    every = table._passes(table.layout.roots, -1)
-    for beta, rows in every:
+    every = table._passes(-1)
+    for beta, *_, rows in every:
         assert bin(rows).count("1") == prod(top[i] - beta[i] + 1 for i in outer)
-    assert sorted(beta for beta, _ in every) == \
+    assert sorted(beta for beta, *_ in every) == \
         sorted(beta for beta in table.layout.roots if sum(beta) > 1)
     whole, survivors = PLANNED[label, rank, k]
     assert planned_updates(table, -1) == whole
     assert planned_updates(table, table.done) == survivors < whole
+
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
+def test_span_places_block_at_every_point_of_the_box(label, rank):
+    # _span against a list of the points x with beta_i <= x_i <= top_i on a
+    # random subset of the axes and 0 elsewhere, each placed at
+    # sum(x_i * steps_i), the steps mixed-radix over those axes as a
+    # BoxTable lays out its rows (block 1) and its cells (a block of bits)
+    rs = build(label, rank)
+    rng = random.Random(f"span {label}{rank}")
+    for _ in range(12):
+        top = tuple(rng.randint(0, 3 if rank <= 4 else 2) for _ in range(rank))
+        beta = tuple(rng.randint(0, t) for t in top)
+        axes = sorted(rng.sample(range(rank), rng.randint(0, rank)))
+        bits = rng.randint(1, 5)  # 1 as for a row bitmask, more as for cells
+        block = rng.randint(1, (1 << bits) - 1)
+        steps, step = [0] * rank, bits
+        for i in reversed(axes):
+            steps[i], step = step, step * (top[i] + 1)
+        points = itertools.product(*(range(beta[i], top[i] + 1) for i in axes))
+        expected = sum(block << sum(map(mul, x, (steps[i] for i in axes)))
+                       for x in points)
+        assert kostant._span(block, beta, top, axes, steps) == expected, \
+            (top, beta, axes, steps, block)
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3),

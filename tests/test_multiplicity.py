@@ -692,6 +692,28 @@ def test_dominant_multiplicities_match_freudenthal(label, rank):
             weyl_dimension(lam, rs)
 
 
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
+def test_lusztig_q_analog_over_dominant_pairs(label, rank):
+    # Lusztig's q-analog at every dominant mu <= lambda (224 pairs), for
+    # four seeded small dominant lambda and 2 theta, and theta alone in E7
+    # and E8: no negative coefficient, monic of degree ht(lambda - mu), and
+    # Freudenthal's multiplicity at q = 1
+    rs = build(label, rank)
+    rng = random.Random(f"lusztig {label}{rank}")
+    if label in ("E7", "E8"):
+        lams = [highest_root(rs)]
+    else:
+        lams = [seeded_dominant(rs, rng, rng.randint(1, 2 if rank > 5 else 3))
+                for _ in range(4)] + [lattice.scale(2, highest_root(rs))]
+    for lam in lams:
+        for mu, m in freudenthal(lam, rs).items():
+            mq = q_multiplicity(lam, mu, rs)
+            height = sum(to_simple_root_coords(lattice.sub(lam, mu), rs))
+            assert min(mq.coeffs) >= 0, (lam, mu, mq)
+            assert mq.degree == height and mq.coeffs[-1] == 1, (lam, mu, mq)
+            assert mq.evaluate(1) == m, (lam, mu, mq)
+
+
 def test_weight_diagram_sorted_and_positive():
     rs = build("B", 3)
     entries = weight_diagram(fundamental_weight(rs, 2), rs)
