@@ -15,9 +15,9 @@ other positive root by increasing height, one big-int update per row, over
 only the rows the requested cells depend on; the whole box is every row.
 table_layout fixes a table's width and packed axes and estimates its bytes
 once, from its row heights (height_bytes). A query lays its table out
-before its walk (_layout_over), so an estimate past TABLE_BUDGET_BYTES
-raises TableTooLarge before anything is allocated, and fills it after the
-walk for the cells it reads (_table_over).
+over its own box before its walk (_layout_over), so an estimate past
+TABLE_BUDGET_BYTES raises TableTooLarge before anything is allocated, and
+fills it after the walk for its cells, or the whole box (_table_over).
 partition_q_bruteforce, an exhaustive search with no memo, is kept apart from
 the table as the oracle of `verify oracle`; the tests also check the table
 against a recursion over a permuted root list (tests/oracles.py)."""
@@ -355,10 +355,12 @@ class BoxTable:
     def __len__(self) -> int:
         return len(self.rows) * (self.plane // self.bits)
 
-    def holds(self, cells: Iterable[tuple[int, ...]]) -> bool:
-        """Whether the row of every cell, each inside the box, is final."""
+    def holds(self, cells: Iterable[tuple[int, ...]] | None) -> bool:
+        """Whether the row of every cell, each inside the box, is final;
+        every row when cells is None."""
         strides, done = self.strides, self.done
-        return all(done >> sum(map(mul, x, strides)) & 1 for x in cells)
+        return (done == -1 if cells is None
+                else all(done >> sum(map(mul, x, strides)) & 1 for x in cells))
 
     def lookup(self, coords: tuple[int, ...]) -> QPolynomial:
         """P_q(coords) for coords inside the box: the planes upward from the
@@ -476,40 +478,30 @@ _DEFAULT_CACHES: dict[RootSystem, BoxTable] = {}
 
 def _layout_over(request: tuple[int, ...], rs: RootSystem) -> Layout:
     """The layout of rs's table once it covers [0, request]: the cached
-    table's when it does. Otherwise a new box, the coordinatewise union with
-    the old one when that has no more cells than the two together and fits
-    TABLE_BUDGET_BYTES, else the request alone, so skewed requests do not
-    inflate the box. Over the budget, TableTooLarge is raised before
-    anything is allocated."""
+    table's when it does, else a new one over the request alone. Over
+    TABLE_BUDGET_BYTES, TableTooLarge is raised before anything is
+    allocated."""
     table = _DEFAULT_CACHES.get(rs)
     if table is not None and all(map(le, request, table.top)):
         return table.layout
-    roots = rs.positive_root_alpha_coords
-    top = request
-    if table is not None:
-        union = tuple(map(max, table.top, request))
-        if prod(t + 1 for t in union) <= len(table) + prod(c + 1 for c in request):
-            top = union
-    layout = table_layout(top, roots)
-    if layout.size > TABLE_BUDGET_BYTES and top != request:
-        top = request
-        layout = table_layout(top, roots)
+    layout = table_layout(request, rs.positive_root_alpha_coords)
     if layout.size > TABLE_BUDGET_BYTES:
         size = f"{'an estimated' if layout.bits else 'at least'} {layout.size:,} bytes"
         raise TableTooLarge(
-            f"P_q table over the box {list(top)} has {prod(t + 1 for t in top):,} "
+            f"P_q table over the box {list(request)} has {prod(t + 1 for t in request):,} "
             f"cells, {size}, over the budget of {TABLE_BUDGET_BYTES:,} bytes")
     return layout
 
 
-def _table_over(layout: Layout, cells: list[tuple[int, ...]], rs: RootSystem) -> BoxTable:
-    """rs's table under layout (from _layout_over) with the rows of cells,
-    inside its box, final: the cached table when it has that layout and
-    holds them, else a new one, filled for those rows when it is rs's first
-    and for the whole box otherwise, so a process pays at most one fill
-    beyond the whole-box ones. The table is replaced as one dict entry,
-    never changed in place, so concurrent callers at worst build the same
-    table twice."""
+def _table_over(layout: Layout, cells: list[tuple[int, ...]] | None,
+                rs: RootSystem) -> BoxTable:
+    """rs's table under layout (from _layout_over) with the rows of cells
+    inside its box final, every row when cells is None: the cached table
+    when it has that layout and holds them, else a new one, filled for those
+    rows when it is rs's first and for the whole box otherwise, so a process
+    pays at most one fill beyond the whole-box ones. A table is replaced as
+    one dict entry, never changed in place: concurrent callers at worst
+    build the same table twice."""
     table = _DEFAULT_CACHES.get(rs)
     if table is None or table.layout is not layout or not table.holds(cells):
         table = _DEFAULT_CACHES[rs] = BoxTable(layout, cells if table is None else None)

@@ -217,8 +217,7 @@ def start_terms(start: Start | None, rs: RootSystem, cap: int = DEFAULT_CAP
     survivors' xi; a walk with no survivor fills nothing."""
     if not _may_survive(start):
         return []
-    xi, _, _, scale = start
-    layout = _layout_over(tuple(c // scale for c in xi), rs)
+    layout = _layout_over(tuple(c // start.scale for c in start.xi), rs)
     terms = _survivor_terms(start, rs, cap)
     if not terms:
         return []
@@ -249,20 +248,29 @@ def weight_diagram(lam: Vector, rs: RootSystem,
     Walk downward from lambda by positive-root steps, keeping the nodes of
     positive multiplicity; every weight is reachable through such nodes, so
     the zero-multiplicity pruning loses nothing and bounds the walk. Each
-    candidate's start pairs lambda's one Weight with the candidate's own.
-    """
+    weight mu has w0 lambda <= mu <= lambda (Humphreys 13.2, 21.3), so one
+    table over [0, lambda - w0 lambda], filled first (TableTooLarge past its
+    budget, before any walk), serves every sum, and a candidate outside that
+    box gets 0 without a walk. -w0 lambda is the dominant weight of -lambda's
+    orbit. Each candidate's start pairs lambda's Weight with its own."""
     top = weight(lam, rs)
     if top.off is not None:
         raise NotInRootSpan(f"{lam} is not in the span of the simple roots of {rs}")
     if top.denominator != 1 or min(top.coords) < 0:
         raise ValueError(f"{lam} is not a dominant integral weight of {rs}")
+    dual, _ = _peel(tuple(-c for c in top.coords), tuple(zip(*rs.cartan_matrix)))
+    box = tuple(sum(map(mul, row, map(add, top.coords, dual))) // rs.cartan_determinant
+                for row in rs.cartan_adjugate)
+    _table_over(_layout_over(box, rs), None, rs)
     found: dict[Vector, int] = {lam: 1}  # the highest weight's (Humphreys 20.2)
     frontier = [lam]
     while frontier:
         fresh = [v for v in dict.fromkeys(lattice.sub(node, root) for node in frontier
                                           for root in rs.positive_roots) if v not in found]
         for v in fresh:
-            found[v] = _start_sum(walk_start(top, weight(v, rs), rs), rs, cap).evaluate(1)
+            start = walk_start(top, weight(v, rs), rs)  # v <= lambda, so xi >= 0
+            inside = all(c <= b * start.scale for c, b in zip(start.xi, box))
+            found[v] = _start_sum(start, rs, cap).evaluate(1) if inside else 0
         frontier = [v for v in fresh if found[v] > 0]
     return [WeightDiagramEntry(vector, m)
             for vector, m in sorted(found.items()) if m > 0]

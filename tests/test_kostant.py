@@ -247,12 +247,12 @@ def test_box_table_matches_oracles(label, rank, monkeypatch):
     for x in hits:
         partition_q_alpha(x, rs)
     assert kostant._DEFAULT_CACHES[rs] is table
-    # a slightly larger request grows the box to the union
+    # a slightly larger request replaces the box by its own
     grown = top[:-1] + (top[-1] + 1,)
     assert_matches_oracles(rs, grown, partition_q_alpha(grown, rs))
     assert kostant._DEFAULT_CACHES[rs].top == grown
-    # a skewed pair: the second request replaces the box, since the union
-    # would hold more cells than the old box and the request together
+    # a skewed pair: the second request replaces the box by its own, with
+    # fewer cells than the union of the two
     k = max(grown) + 2
     first = (k,) + (0,) * (rank - 1)
     second = (0, k) + (0,) * (rank - 2)
@@ -739,22 +739,10 @@ def test_floor_refuses_before_counting_the_width(monkeypatch):
     assert rs not in kostant._DEFAULT_CACHES
 
 
-def test_union_over_budget_builds_the_request_alone(monkeypatch):
-    # (3, 3) then (4, 2): the union (4, 3) passes the cell rule (20 <= 16 + 15)
-    # but not a budget that only the request fits
-    rs = build("B", 2)
-    roots = rs.positive_root_alpha_coords
-    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
-    partition_q_alpha((3, 3), rs)
-    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", estimate((4, 2), roots))
-    assert estimate((4, 3), roots) > kostant.TABLE_BUDGET_BYTES
-    assert partition_q_alpha((4, 2), rs) == recursion_oracle(rs, (4, 2))
-    assert kostant._DEFAULT_CACHES[rs].top == (4, 2)
-
-
 def test_lookup_estimates_each_box_once(monkeypatch):
-    # a union that fits is laid out once and built from that layout; one over
-    # the budget is laid out once before the request alone is
+    # a request the cached table does not cover is laid out once, over the
+    # request alone, and built from that layout, also under a budget that
+    # the request fits and the union (4, 3) would not
     rs = build("B", 2)
     roots = rs.positive_root_alpha_coords
     estimated, built = [], []
@@ -774,16 +762,12 @@ def test_lookup_estimates_each_box_once(monkeypatch):
     monkeypatch.setattr(kostant, "BoxTable", from_the_estimate)
     monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
     partition_q_alpha((3, 3), rs)
-    partition_q_alpha((4, 2), rs)
-    assert estimated == [(3, 3), (4, 3)]
-    assert kostant._DEFAULT_CACHES[rs].top == (4, 3)
-    # a budget the union (5, 3) passes and the request (5, 0) fits
-    budget = table_layout((5, 3), roots).size - 1
-    assert table_layout((5, 0), roots).size <= budget
+    budget = table_layout((4, 2), roots).size
+    assert table_layout((4, 3), roots).size > budget
     monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES", budget)
-    partition_q_alpha((5, 0), rs)
-    assert estimated == [(3, 3), (4, 3), (5, 3), (5, 0)]
-    assert kostant._DEFAULT_CACHES[rs].top == (5, 0)
+    assert partition_q_alpha((4, 2), rs) == recursion_oracle(rs, (4, 2))
+    assert estimated == [(3, 3), (4, 2)]
+    assert kostant._DEFAULT_CACHES[rs].top == (4, 2)
 
 
 def test_partition_coefficients_are_nonnegative():

@@ -643,12 +643,15 @@ def test_weight_diagram_adjoint_dimensions():
             {lattice.scale(-1, r) for r in rs.positive_roots}
 
 
-# E7 and E8 are left out: weight_diagram runs one alternating sum per
-# candidate weight, and the E7 w7 diagram took 153 s on a 2-core machine.
-# The ROADMAP's dominant-weight diagram is the fix that would bring them in.
+# E8 is left out: its smallest diagram, the adjoint one, needs a table over
+# [0, 2 theta], which is over the budget. The E7 w7 diagram took 31.8 s on a
+# 2-core x86 with Python 3.11 while each growing candidate box could rebuild
+# the table, and takes 3.4 s with one table over [0, lambda - w0 lambda] and
+# no walk outside it.
 @pytest.mark.parametrize("label, rank, i, dim", [
     ("A", 3, 2, 6), ("B", 3, 3, 8), ("C", 3, 2, 14), ("D", 4, 1, 8),
     ("D", 5, 5, 16), ("G2", 2, 1, 7), ("F4", 4, 4, 26), ("E6", 6, 1, 27),
+    ("E7", 7, 7, 56),
 ])
 def test_weight_diagram_matches_weyl_dimension(label, rank, i, dim):
     # and the diagram's dominant weights and their multiplicities are Freudenthal's
@@ -659,6 +662,89 @@ def test_weight_diagram_matches_weyl_dimension(label, rank, i, dim):
     assert sum(e.multiplicity for e in entries) == dim
     assert {e.weight: e.multiplicity for e in entries
             if is_dominant(e.weight, rs)} == freudenthal(lam, rs)
+
+
+def lowest_weight(lam, rs):
+    """w0 lambda: the one weight of lambda's orbit with no positive pairing."""
+    (low,) = [v for v in orbit(lam, rs) if max(coroot_pairings(v, rs)) <= 0]
+    return low
+
+
+@pytest.mark.parametrize("label, rank, coords", [
+    ("C", 3, (2, 0, 0)), ("B", 3, (1, 1, 1)), ("A", 4, (1, 0, 0, 1)), ("G2", 2, (3, 0)),
+    ("E6", 6, (0, 1, 0, 0, 0, 0)),
+])
+def test_weight_diagram_builds_one_table(label, rank, coords, monkeypatch):
+    # with no cached table, a diagram (2 w1, rho, w1 + w4, 3 w1, theta) builds
+    # one table, over the box [0, lambda - w0 lambda]; it built 12, 22, 17,
+    # 23 and 201 when each candidate's box could grow the table
+    rs = build(label, rank)
+    lam = weight_of(coords, 1, rs)
+    built = []
+    box_table = kostant.BoxTable
+
+    def counted(layout, cells=None):
+        built.append((layout.top, cells))
+        return box_table(layout, cells)
+
+    monkeypatch.setattr(kostant, "BoxTable", counted)
+    monkeypatch.delitem(kostant._DEFAULT_CACHES, rs, raising=False)
+    entries = weight_diagram(lam, rs)
+    assert sum(e.multiplicity for e in entries) == weyl_dimension(lam, rs)
+    box = tuple(to_simple_root_coords(lattice.sub(lam, lowest_weight(lam, rs)), rs))
+    assert built == [(box, None)]
+
+
+def small_dominant(rs, rng, most):
+    """Up to two distinct seeded dominant weights, each a sum of at most two
+    fundamental weights, with Weyl dimension at most most; 0 when none is."""
+    pool = []
+    for i in range(rs.rank):
+        for j in range(i, rs.rank + 1):
+            lam = fundamental_weight(rs, i + 1)
+            if j < rs.rank:
+                lam = lattice.add(lam, fundamental_weight(rs, j + 1))
+            if weyl_dimension(lam, rs) <= most:
+                pool.append(lam)
+    return rng.sample(pool, min(2, len(pool))) or [zero_of(rs)]
+
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
+def test_weight_diagram_walks_only_inside_the_box(label, rank, monkeypatch):
+    # no candidate outside [w0 lambda, lambda] reaches a sum, and the
+    # diagram's dimension and dominant multiplicities are the oracles'; the
+    # small weights of E7 and E8 are w7 and 0, as their next diagrams take
+    # 15 s (E7 w1) or a table over the budget (E8)
+    rs = build(label, rank)
+    rng = random.Random(f"diagram box {label}{rank}")
+    starts = []
+    start_sum = multiplicity_module._start_sum
+
+    def recorded(start, rs, cap):
+        starts.append(start)
+        return start_sum(start, rs, cap)
+
+    monkeypatch.setattr(multiplicity_module, "_start_sum", recorded)
+    for lam in small_dominant(rs, rng, 60 if rank >= 7 else 300):
+        starts.clear()
+        entries = weight_diagram(lam, rs)
+        box = to_simple_root_coords(lattice.sub(lam, lowest_weight(lam, rs)), rs)
+        for start in starts:
+            assert all(0 <= Fraction(c, start.scale) <= b for c, b in zip(start.xi, box))
+        assert sum(e.multiplicity for e in entries) == weyl_dimension(lam, rs)
+        assert {e.weight: e.multiplicity for e in entries
+                if is_dominant(e.weight, rs)} == freudenthal(lam, rs)
+
+
+def test_e8_adjoint_diagram_is_refused_before_any_walk(monkeypatch):
+    # the box [0, theta - w0 theta] is 2 theta, whose table is over the budget
+    def no_walk(start, rs, cap):
+        raise AssertionError("the diagram walked")
+
+    rs = build("E8", 8)
+    monkeypatch.setattr(multiplicity_module, "_survivor_terms", no_walk)
+    with pytest.raises(TableTooLarge, match="over the budget"):
+        weight_diagram(highest_root(rs), rs)
 
 
 def seeded_dominant(rs, rng, terms):
