@@ -21,17 +21,16 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from . import lattice
-from .combinatorics import (fibonacci, nonconsecutive_subsets,
+from .combinatorics import (binomial, fibonacci, nonconsecutive_subsets,
                             verify_alternating_identity)
 from .errors import CapExceeded, TableTooLarge, WeylaltError
 from .kostant import QPolynomial, partition_q, partition_q_bruteforce
 from .multiplicity import (DEFAULT_CAP, alternating_sum, alternation_set,
-                           predicted_alternation_set_B,
-                           predicted_count_by_length_B, predicted_pq_B,
-                           q_multiplicity, q_multiplicity_terms, start_terms,
-                           walk_start, weight_diagram)
+                           fibonacci_family, q_multiplicity,
+                           q_multiplicity_terms, start_terms, walk_start,
+                           weight_diagram)
 from .rootsystem import (TYPES, Weight, build, fundamental_weight,
-                         highest_root, is_dominant, sum_of_simple_roots,
+                         is_dominant, sum_of_simple_roots,
                          sum_of_simple_roots_in_fundamental_basis,
                          to_fundamental_coords, weight)
 from .weyl import group_order
@@ -292,38 +291,34 @@ def _type_b_sweep(max_rank: int):
 
 
 def suite_fibonacci(max_rank: int, cap: int, seed: int) -> list:
+    """The paper's families at (sum of simple roots, 0): B ranks, then A
+    ranks, each against fibonacci_family, its count against F_(m+1) and its
+    (k, s) histogram against C(r-1-k-s, k); a word outside the family fails
+    its P_q check."""
     checks = []
-    for r, rs, zero, w1 in _type_b_sweep(max_rank):
-        terms = q_multiplicity_terms(w1, zero, rs, cap)
-        checks.append(check(f"B{r} count", fibonacci(r + 1), len(terms)))
-        checks.append(check(f"B{r} words", sorted(predicted_alternation_set_B(r)),
-                            sorted(element.word for element, _ in terms)))
-        histogram = {}
-        for element, pq in terms:
-            word = element.word
-            has_sr = r in word
-            k = len(word) - (1 if has_sr else 0)
-            histogram[(k, has_sr)] = histogram.get((k, has_sr), 0) + 1
-            try:
-                expected_pq = predicted_pq_B(word, r)
-            except ValueError:
-                checks.append(Check(f"B{r} pq {element}",
-                                    "word from the predicted family",
-                                    _text_value(word), False))
-                continue
-            checks.append(check(f"B{r} pq {element}", expected_pq, pq))
-        # a count is nonzero for k up to about r/2 and zero from there on
-        expected_histogram = {(k, has_sr): count for has_sr in (False, True)
-                              for k in range(r)
-                              if (count := predicted_count_by_length_B(r, k, has_sr))}
-        checks.append(check(f"B{r} histogram",
-                            sorted(expected_histogram.items()),
-                            sorted(histogram.items())))
-    for r in range(SMALLEST_RANK, max_rank + 1):
-        rs = build("A", r)
-        aset = alternation_set(highest_root(rs), lattice.zeros(rs.ambient_dim),
-                               rs, cap)
-        checks.append(check(f"A{r} count", fibonacci(r), len(aset)))
+    for label in ("B", "A"):
+        for r in range(SMALLEST_RANK, max_rank + 1):
+            rs = build(label, r)
+            m = r if label == "B" else r - 1  # the words use s_2..s_m
+            terms = q_multiplicity_terms(sum_of_simple_roots(rs), lattice.zeros(rs.ambient_dim),
+                                         rs, cap)
+            family = fibonacci_family(label, r)
+            checks.append(check(f"{label}{r} count", fibonacci(m + 1), len(terms)))
+            checks.append(check(f"{label}{r} words", sorted(family),
+                                sorted(element.word for element, _ in terms)))
+            histogram = {}
+            for element, pq in terms:
+                has_sr = r in element.word
+                key = (len(element.word) - has_sr, has_sr)
+                histogram[key] = histogram.get(key, 0) + 1
+                checks.append(check(f"{label}{r} pq {element}", family.get(element.word), pq))
+            # a count is nonzero for k up to about r/2 and zero from there on;
+            # only B's words reach s_r
+            expected_histogram = {(k, has_sr): count for has_sr in {False, m == r}
+                                  for k in range(r)
+                                  if (count := binomial(r - 1 - k - has_sr, k))}
+            checks.append(check(f"{label}{r} histogram", sorted(expected_histogram.items()),
+                                sorted(histogram.items())))
     return checks
 
 

@@ -231,8 +231,17 @@ class Layout(NamedTuple):
 
 
 def _repeat(block: int, width: int, count: int) -> int:
-    """count copies of block, each width bits above the one before."""
-    return block * (((1 << (count * width)) - 1) // ((1 << width) - 1))
+    """count copies of block, each width bits above the one before: block
+    times (2^(count*width) - 1) / (2^width - 1), built by doubling from the
+    top bit of count down, as big-int division is quadratic."""
+    out, copies = 0, 0
+    for bit in bin(count)[2:]:
+        out += out << copies * width
+        copies *= 2
+        if bit == "1":
+            out = (out << width) + block
+            copies += 1
+    return out
 
 
 def _span(block: int, beta: Sequence[int], top: Sequence[int], axes: Sequence[int],
@@ -246,6 +255,7 @@ def _span(block: int, beta: Sequence[int], top: Sequence[int], axes: Sequence[in
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _set_bits(mask: int) -> Iterator[int]:
@@ -269,15 +279,16 @@ class BoxTable:
     coefficient_bound, so no field carries. Row p sits at index
     sum(p_i * strides_i) and cell(x)*bits is sum(x_i * shifts_i); strides is 0
     on the packed axes and shifts on the others, so a whole point indexes its
-    row and its cell. done is the bitmask of the final rows, the rows of the
-    given cells, or -1 (every bit) for the whole box; _passes plans the fill
-    for done from this layout alone. Each lookup decodes its cell to a
-    QPolynomial and refuses a row outside done; nothing changes after
+    row and its cell. final holds a byte per row, 1 for the rows of the given
+    cells, or is None for the whole box; done is the same rows as a bitmask,
+    -1 (every bit) for the whole box, from which _passes plans the fill with
+    this layout alone. Each lookup decodes its cell to a QPolynomial and
+    refuses a row that final does not mark; nothing changes after
     construction. len() is the box's cell count either way.
     """
 
     __slots__ = ("layout", "top", "strides", "shifts", "bits", "plane", "mask", "tallest",
-                 "done", "rows")
+                 "final", "done", "rows")
 
     def __init__(self, layout: Layout, cells: Iterable[tuple[int, ...]] | None = None):
         self.layout = layout
@@ -295,8 +306,12 @@ class BoxTable:
         self.strides, self.shifts = tuple(strides), tuple(shifts)
         self.plane = cell
         self.mask = (1 << self.bits) - 1
-        self.done = -1 if cells is None else sum({1 << sum(map(mul, x, self.strides))
-                                                   for x in cells})
+        self.final, self.done = None, -1
+        if cells is not None:
+            self.final = bytearray(rows)
+            for x in cells:
+                self.final[sum(map(mul, x, self.strides))] = 1
+            self.done = int(self.final.translate(_DIGITS)[::-1], 2)
         self.rows = self._fill(rows)
 
     def _passes(self, need: int) -> list[tuple[tuple[int, ...], int, int, int, int]]:
@@ -358,16 +373,16 @@ class BoxTable:
     def holds(self, cells: Iterable[tuple[int, ...]] | None) -> bool:
         """Whether the row of every cell, each inside the box, is final;
         every row when cells is None."""
-        strides, done = self.strides, self.done
-        return (done == -1 if cells is None
-                else all(done >> sum(map(mul, x, strides)) & 1 for x in cells))
+        final, strides = self.final, self.strides
+        return final is None or (cells is not None
+                                 and all(final[sum(map(mul, x, strides))] for x in cells))
 
     def lookup(self, coords: tuple[int, ...]) -> QPolynomial:
         """P_q(coords) for coords inside the box: the planes upward from the
         cell, coefficient ht(coords) down to the fewest parts possible.
         LookupError when the cell's row is not final."""
         index = sum(map(mul, coords, self.strides))
-        if not self.done >> index & 1:
+        if self.final is not None and not self.final[index]:
             raise LookupError(f"the row of {list(coords)} in the P_q table over "
                               f"{list(self.top)} was not filled")
         packed = self.rows[index] >> sum(map(mul, coords, self.shifts))

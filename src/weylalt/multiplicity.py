@@ -37,7 +37,7 @@ from operator import add, mul, sub
 from typing import Iterable, NamedTuple
 
 from . import lattice
-from .combinatorics import binomial, nonconsecutive_subsets
+from .combinatorics import nonconsecutive_subsets
 from .errors import CapExceeded, NotInRootSpan
 from .kostant import QPolynomial, _layout_over, _table_over
 from .lattice import Vector
@@ -204,8 +204,18 @@ def q_multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
 
 def multiplicity(lam: Vector, mu: Vector, rs: RootSystem,
                  cap: int = DEFAULT_CAP) -> int:
-    """Kostant weight multiplicity m(lambda, mu)."""
-    return q_multiplicity(lam, mu, rs, cap).evaluate(1)
+    """Kostant weight multiplicity m(lambda, mu). For integral lambda and mu
+    the sum is taken at mu+, the dominant weight of W mu: it is the e^mu
+    coefficient of A_(lambda+rho) / A_rho, which is W-invariant in mu, and
+    lambda - mu+ <= lambda - mu, so its box is no larger (Humphreys 21.2,
+    24.2). The value equals q_multiplicity at q = 1, but the terms differ
+    at non-dominant mu, as P_q is not W-invariant. Off the weight lattice
+    the sum stays at mu: in A1, m(omega_1/2, omega_1/2) = 1, yet
+    m(omega_1/2, -omega_1/2) = 0."""
+    lam, mu = weight(lam, rs), weight(mu, rs)
+    if lam.denominator == mu.denominator == 1:  # W fixes off: the span test is unchanged
+        mu = mu._replace(coords=_peel(mu.coords, tuple(zip(*rs.cartan_matrix)))[0])
+    return _start_sum(walk_start(lam, mu, rs), rs, cap).evaluate(1)
 
 
 def start_terms(start: Start | None, rs: RootSystem, cap: int = DEFAULT_CAP
@@ -276,62 +286,23 @@ def weight_diagram(lam: Vector, rs: RootSystem,
             for vector, m in sorted(found.items()) if m > 0]
 
 
-def _commuting_indices(indices: tuple[int, ...], hi: int) -> set[int]:
-    """indices as a set; ValueError unless they lie inside {2..hi} with no
-    two consecutive, so that their simple reflections commute."""
-    index_set = set(indices)
-    if not index_set <= set(range(2, hi + 1)):
-        raise ValueError(f"indices {indices} not inside 2..{hi}")
-    if any(i + 1 in index_set for i in index_set):
-        raise ValueError(f"indices {indices} contain a consecutive pair")
-    return index_set
-
-
-def predicted_alternation_set_A(r: int) -> set[tuple[int, ...]]:
-    """Alternation set of (theta, 0) for A_r as reduced words: products of
-    commuting s_i over nonconsecutive index sets inside {2..r-1}. An
-    observation, which the tests match against the walk for r = 1..9, not a
-    proof."""
-    if r < 1:
-        raise ValueError(f"type A needs rank >= 1, got {r}")
-    return set(nonconsecutive_subsets(2, r - 1))
-
-
-def predicted_pq_A(indices: tuple[int, ...], r: int) -> QPolynomial:
-    """P_q(sigma(theta+rho) - rho) for sigma the commuting product over a
-    nonconsecutive index set inside {2..r-1}: q^(1+k) (1+q)^(r-1-2k), k the
-    number of reflections, as B's form without s_r. An observation, which
-    the tests match against the table for r = 1..9, not a proof."""
-    k = len(_commuting_indices(indices, r - 1))
-    return QPolynomial((1, 1)) ** (r - 1 - 2 * k) * QPolynomial.monomial(1 + k)
-
-
-def predicted_alternation_set_B(r: int) -> set[tuple[int, ...]]:
-    """Alternation set of (omega_1, 0) for B_r as reduced words: products of
-    commuting s_i over nonconsecutive index sets inside {2..r}."""
-    if r < 2:
-        raise ValueError(f"type B needs rank >= 2, got {r}")
-    return set(nonconsecutive_subsets(2, r))
-
-
-def predicted_pq_B(indices: tuple[int, ...], r: int) -> QPolynomial:
-    """Closed form of P_q(sigma(omega_1+rho) - rho) for sigma the commuting
-    product over a nonconsecutive index set inside {2..r}.
-
-    k counts the reflections other than s_r: q^(1+k) (1+q)^(r-1-2k) without
-    s_r, and q^(1+k) (1+q)^(r-2-2k) with it.
-    """
-    index_set = _commuting_indices(indices, r)
-    has_sr = r in index_set
-    k = len(index_set) - (1 if has_sr else 0)
-    exponent = (r - 2 - 2 * k) if has_sr else (r - 1 - 2 * k)
-    if exponent < 0:
-        raise ValueError(f"indices {indices} impossible for rank {r}")
-    return QPolynomial((1, 1)) ** exponent * QPolynomial.monomial(1 + k)
-
-
-def predicted_count_by_length_B(r: int, k: int, has_sr: bool) -> int:
-    """How many alternation-set elements have k reflections besides s_r."""
-    if has_sr:
-        return binomial(r - 2 - k, k)
-    return binomial(r - 1 - k, k)
+def fibonacci_family(type_label: str, r: int) -> dict[tuple[int, ...], QPolynomial]:
+    """The alternation set of (sum of simple roots, 0) for A_r (r >= 1) or
+    B_r (r >= 2), as reduced words with their P_q(sigma(lambda+rho) - rho).
+    The words are the products of commuting s_i over the nonconsecutive
+    index sets I inside {2..m}, m = r - 1 in A and r in B, F_(m+1) of them.
+    With s = 1 when r is in I, else 0, and k = |I| - s, P_q is
+    q^(1+k) (1+q)^(r-1-2k-s), and C(r-1-k-s, k) words share each (k, s).
+    The paper proves the Fibonacci count in both types; the words and P_q
+    are the closed form that the tests and `verify fibonacci` match against
+    the walk and the table."""
+    smallest = {"A": 1, "B": 2}.get(type_label)
+    if smallest is None or r < smallest:
+        raise ValueError(f"no Fibonacci family for {type_label}{r}; "
+                         "it is A_r for r >= 1 or B_r for r >= 2")
+    family = {}
+    for word in nonconsecutive_subsets(2, r - 1 if type_label == "A" else r):
+        s = int(r in word)
+        k = len(word) - s
+        family[word] = QPolynomial((1, 1)) ** (r - 1 - 2 * k - s) * QPolynomial.monomial(1 + k)
+    return family

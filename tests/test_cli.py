@@ -479,6 +479,22 @@ def test_oracle_suite_other_seed(capsys):
     assert "partition oracle" in capsys.readouterr().out
 
 
+def test_fibonacci_suite_fails_a_word_outside_the_family(monkeypatch, capsys):
+    # the walk's s3 in A4 has no key in a family that lacks it: its P_q
+    # check fails, as does the words check, and nothing raises
+    family = cli.fibonacci_family
+
+    def without_s3(label, r):
+        return {w: pq for w, pq in family(label, r).items() if (label, r, w) != ("A", 4, (3,))}
+
+    monkeypatch.setattr(cli, "fibonacci_family", without_s3)
+    assert main(["verify", "fibonacci", "--max-rank", "4", "--format", "json"]) == \
+        EXIT_CHECK_FAILED
+    failed = {c["name"]: c["expected"] for c in json.loads(capsys.readouterr().out)["checks"]
+              if not c["pass"]}
+    assert failed.keys() == {"A4 words", "A4 pq s3"} and failed["A4 pq s3"] == "None"
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "definitely-not-a-suite"]) == EXIT_USAGE
     capsys.readouterr()

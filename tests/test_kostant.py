@@ -307,7 +307,10 @@ def test_partial_table_matches_the_whole_box(label, rank):
         cells = [tuple(rng.randint(0, t) for t in top) for _ in range(rng.randint(1, 2))]
         partial = kostant.BoxTable(layout, cells)
         assert len(partial) == len(whole) == prod(t + 1 for t in top)
-        assert whole.done == -1 and partial.holds(cells)
+        assert whole.done == -1 and whole.holds(None) and whole.holds(cells)
+        # done is the bitmask of the cells' rows that _passes plans from
+        assert partial.done == sum({1 << sum(map(mul, x, partial.strides)) for x in cells})
+        assert partial.holds(cells) and not partial.holds(None)
         for x in cells:
             value = partial.lookup(x)
             assert value == whole.lookup(x), x
@@ -412,6 +415,20 @@ def test_span_places_block_at_every_point_of_the_box(label, rank):
                        for x in points)
         assert kostant._span(block, beta, top, axes, steps) == expected, \
             (top, beta, axes, steps, block)
+
+
+def test_repeat_matches_the_division_formula():
+    # doubling gives the int of block * (2^(count*width) - 1) / (2^width - 1),
+    # counts 0 and 1 and blocks wider than width included
+    rng = random.Random("repeat")
+    cases = [(1, 1, 0), (5, 3, 0), (1, 1, 1), (6, 3, 1), (1, 7, 2), (3, 1, 5)]
+    for _ in range(200):
+        width = rng.randint(1, 70)
+        cases.append((rng.randint(1, (1 << rng.randint(1, 2 * width)) - 1), width,
+                      rng.randint(0, 40)))
+    for block, width, count in cases:
+        expected = block * (((1 << (count * width)) - 1) // ((1 << width) - 1))
+        assert kostant._repeat(block, width, count) == expected, (block, width, count)
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3),

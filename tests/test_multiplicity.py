@@ -10,17 +10,14 @@ import pytest
 
 from weylalt import kostant, lattice, rootsystem
 from weylalt.cli import parse_weight
-from weylalt.combinatorics import lucas
+from weylalt.combinatorics import binomial, fibonacci, lucas
 from weylalt.errors import CapExceeded, NotInRootSpan, TableTooLarge
 from weylalt.kostant import QPolynomial, partition_q
 from weylalt.multiplicity import (_survivor_terms, alternating_sum,
-                                  alternation_set, multiplicity,
-                                  predicted_alternation_set_A,
-                                  predicted_alternation_set_B,
-                                  predicted_count_by_length_B, predicted_pq_A,
-                                  predicted_pq_B,
-                                  q_multiplicity, q_multiplicity_terms,
-                                  walk_start, weight_diagram)
+                                  alternation_set, fibonacci_family,
+                                  multiplicity, q_multiplicity,
+                                  q_multiplicity_terms, walk_start,
+                                  weight_diagram)
 from weylalt.rootsystem import (build, coroot_pairings, fundamental_weight,
                                 highest_root, is_dominant, sum_of_simple_roots,
                                 to_simple_root_coords, weight)
@@ -800,6 +797,65 @@ def test_lusztig_q_analog_over_dominant_pairs(label, rank):
             assert mq.evaluate(1) == m, (lam, mu, mq)
 
 
+def random_image(v, rs, rng, steps):
+    """v after up to steps random simple reflections, each taken only while
+    v stays nonnegative in simple-root coordinates."""
+    for _ in range(steps):
+        image = WeylElement((rng.randint(1, rs.rank),), rs).act(v)
+        if min(to_simple_root_coords(image, rs)) >= 0:
+            v = image
+    return v
+
+
+@pytest.mark.parametrize("label, rank", NINE_TYPES)
+def test_multiplicity_sums_at_the_dominant_representative(label, rank):
+    # lambda + rho = w(top + rho), w a short random word and top seeded
+    # dominant (theta in E7 and E8), and mu a W-image of a dominant weight of
+    # L(top), nonnegative in simple-root coordinates so that mu's box stays
+    # inside [0, top]: multiplicity sums at mu+, q_multiplicity at mu itself,
+    # and they agree at q = 1
+    rs = build(label, rank)
+    rng = random.Random(f"mu+ {label}{rank}")
+    tops = ([highest_root(rs)] if label in ("E7", "E8")
+            else [seeded_dominant(rs, rng, 2) for _ in range(3)])
+    seen = Counter()
+    for top in tops:
+        for dominant in freudenthal(top, rs):
+            for _ in range(3):
+                word = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 3)))
+                lam = lattice.sub(WeylElement(word, rs).act(lattice.add(top, rs.rho)), rs.rho)
+                mu = random_image(dominant, rs, rng, 2 * rank)
+                m = multiplicity(lam, mu, rs)
+                assert m == q_multiplicity(lam, mu, rs).evaluate(1), (lam, mu)
+                seen[is_dominant(lam, rs), is_dominant(mu, rs), m != 0] += 1
+    assert seen[False, False, True], seen
+
+
+def test_multiplicity_stays_at_mu_off_the_weight_lattice():
+    # A1, lambda = omega_1/2: m(lambda, lambda) = 1, but its image under s_1
+    # is not a weight, so the half-integral mu is not moved to mu+
+    rs = build("A", 1)
+    half = lattice.scale(Fraction(1, 2), fundamental_weight(rs, 1))
+    assert multiplicity(half, half, rs) == 1
+    assert multiplicity(half, lattice.scale(-1, half), rs) == 0
+    assert multiplicity(half, lattice.scale(-1, half), rs) == \
+        q_multiplicity(half, lattice.scale(-1, half), rs).evaluate(1)
+
+
+def test_e8_multiplicity_at_minus_theta_reads_the_theta_box(monkeypatch):
+    # m(theta, -theta) = m(theta, theta) = 1; at -theta the box is 2 theta,
+    # over any budget that only the theta box fits
+    rs = build("E8", 8)
+    theta = highest_root(rs)
+    box = max(rs.positive_root_alpha_coords, key=sum)
+    monkeypatch.setattr(kostant, "_DEFAULT_CACHES", {})
+    monkeypatch.setattr(kostant, "TABLE_BUDGET_BYTES",
+                        kostant.table_layout(box, rs.positive_root_alpha_coords).size)
+    assert multiplicity(theta, lattice.scale(-1, theta), rs) == 1
+    with pytest.raises(TableTooLarge):
+        q_multiplicity(theta, lattice.scale(-1, theta), rs)
+
+
 def test_weight_diagram_sorted_and_positive():
     rs = build("B", 3)
     entries = weight_diagram(fundamental_weight(rs, 2), rs)
@@ -826,68 +882,68 @@ def test_weight_diagram_is_weyl_stable():
             assert mult_of.get(w.act(weight)) == m
 
 
-# === closed-form predictions ===
+# === the paper's Fibonacci families ===
+
+@pytest.mark.parametrize("label, rank", [*[("A", r) for r in range(1, 13)],
+                                         *[("B", r) for r in range(2, 13)]])
+def test_fibonacci_family_matches_walk_and_table(label, rank):
+    # at (sum of simple roots, 0), the default cap: the walk's words are the
+    # family's, F_(m+1) of them, and each term's P_q from the table is its own
+    rs = build(label, rank)
+    terms = q_multiplicity_terms(sum_of_simple_roots(rs), zero_of(rs), rs)
+    family = fibonacci_family(label, rank)
+    assert len(family) == fibonacci(rank if label == "A" else rank + 1)
+    assert {element.word: pq for element, pq in terms} == family
+    assert len(terms) == len(family)
+
 
 def test_predicted_alternation_set():
-    assert predicted_alternation_set_B(2) == {(), (2,)}
-    assert predicted_alternation_set_B(4) == {(), (2,), (3,), (4,), (2, 4)}
+    assert set(fibonacci_family("B", 2)) == {(), (2,)}
+    assert set(fibonacci_family("B", 4)) == {(), (2,), (3,), (4,), (2, 4)}
     with pytest.raises(ValueError):
-        predicted_alternation_set_B(1)
+        fibonacci_family("B", 1)
 
 
 def test_predicted_alternation_set_a():
-    assert predicted_alternation_set_A(1) == predicted_alternation_set_A(2) == {()}
-    assert predicted_alternation_set_A(5) == {(), (2,), (3,), (4,), (2, 4)}
-    assert len(predicted_alternation_set_A(9)) == 34  # F_9
+    assert set(fibonacci_family("A", 1)) == set(fibonacci_family("A", 2)) == {()}
+    assert set(fibonacci_family("A", 5)) == {(), (2,), (3,), (4,), (2, 4)}
+    assert len(fibonacci_family("A", 9)) == 34  # F_9
     with pytest.raises(ValueError):
-        predicted_alternation_set_A(0)
+        fibonacci_family("A", 0)
+    with pytest.raises(ValueError):
+        fibonacci_family("C", 3)  # C and D have no Fibonacci family
 
 
 def test_predicted_pq_a_values():
-    assert predicted_pq_A((), 1) == QPolynomial.monomial(1)
-    assert predicted_pq_A((), 3) == QPolynomial((0, 1, 2, 1))  # q(1+q)^2
-    assert predicted_pq_A((2,), 3) == QPolynomial.monomial(2)
-    assert predicted_pq_A((2, 4), 5) == QPolynomial.monomial(3)
-    with pytest.raises(ValueError):
-        predicted_pq_A((2, 3), 5)  # consecutive
-    with pytest.raises(ValueError):
-        predicted_pq_A((1,), 5)  # outside 2..r-1
-    with pytest.raises(ValueError):
-        predicted_pq_A((5,), 5)
+    assert fibonacci_family("A", 1)[()] == QPolynomial.monomial(1)
+    assert fibonacci_family("A", 3)[()] == QPolynomial((0, 1, 2, 1))  # q(1+q)^2
+    assert fibonacci_family("A", 3)[(2,)] == QPolynomial.monomial(2)
+    assert fibonacci_family("A", 5)[(2, 4)] == QPolynomial.monomial(3)
 
 
 def test_predicted_pq_values():
-    assert predicted_pq_B((), 3) == QPolynomial((0, 1, 2, 1))  # q(1+q)^2
-    assert predicted_pq_B((2,), 3) == QPolynomial.monomial(2)
-    assert predicted_pq_B((3,), 3) == QPolynomial((0, 1, 1))
-    assert predicted_pq_B((2, 4), 4) == QPolynomial.monomial(2)
+    assert fibonacci_family("B", 3)[()] == QPolynomial((0, 1, 2, 1))  # q(1+q)^2
+    assert fibonacci_family("B", 3)[(2,)] == QPolynomial.monomial(2)
+    assert fibonacci_family("B", 3)[(3,)] == QPolynomial((0, 1, 1))
+    assert fibonacci_family("B", 4)[(2, 4)] == QPolynomial.monomial(2)
 
 
 def test_predicted_pq_rejects_bad_index_sets():
-    with pytest.raises(ValueError):
-        predicted_pq_B((2, 3), 4)  # consecutive
-    with pytest.raises(ValueError):
-        predicted_pq_B((1,), 4)  # outside 2..r
-    with pytest.raises(ValueError):
-        predicted_pq_B((5,), 4)
+    # a word outside the family has no key: consecutive, below 2, above m
+    for word in [(2, 3), (1,), (5,)]:
+        assert word not in fibonacci_family("B", 4)
+    assert (4,) not in fibonacci_family("A", 4)  # A_r stops at s_(r-1)
 
 
 def test_predicted_count_by_length():
-    # rows sum to the Fibonacci count
-    for r in range(2, 9):
-        total = 0
-        for has_sr in (False, True):
-            k = 0
-            while True:
-                c = predicted_count_by_length_B(r, k, has_sr)
-                if c == 0:
-                    break
-                total += c
-                k += 1
-        aset = alternation_set(fundamental_weight(build("B", r), 1),
-                               lattice.zeros(r), build("B", r),
-                               cap=group_order(build("B", r)))
-        assert total == len(aset)
+    # C(r-1-k-s, k) words have k reflections besides s_r, s = 1 with s_r;
+    # the counts add up to the Fibonacci count
+    for label, r in [*[("A", r) for r in range(1, 10)], *[("B", r) for r in range(2, 10)]]:
+        histogram = Counter((len(w) - (r in w), r in w) for w in fibonacci_family(label, r))
+        expected = {(k, s): binomial(r - 1 - k - s, k) for s in {False, label == "B"}
+                    for k in range(r) if binomial(r - 1 - k - s, k)}
+        assert histogram == expected
+        assert sum(expected.values()) == fibonacci(r if label == "A" else r + 1)
 
 
 # === the paper's C, D and exceptional counts for lam = sum of simple roots ===
@@ -908,15 +964,13 @@ def test_sum_of_simple_roots_alternation_counts(label, rank, expected):
 
 @pytest.mark.parametrize("rank", range(1, 10))
 def test_highest_root_alternation_set_in_type_a(rank):
-    # A_r at theta, at the default cap: the observed family, products of
-    # commuting s_i over nonconsecutive index sets inside {2..r-1}, F_r of
-    # them for r >= 2, and a word of length k has P_q = q^(1+k) (1+q)^(r-1-2k)
+    # A_r at theta: the family's signed P_q collapse to q + ... + q^r, the
+    # exponents of A_r, as q_multiplicity's do
     rs = build("A", rank)
-    terms = q_multiplicity_terms(highest_root(rs), zero_of(rs), rs)
-    assert sorted(element.word for element, _ in terms) == \
-        sorted(predicted_alternation_set_A(rank))
-    for element, pq in terms:
-        assert pq == predicted_pq_A(element.word, rank)
+    family = fibonacci_family("A", rank)
+    signed = alternating_sum((WeylElement(word, rs), pq) for word, pq in family.items())
+    assert signed == QPolynomial.geometric(1, rank) == \
+        q_multiplicity(highest_root(rs), zero_of(rs), rs)
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
